@@ -136,22 +136,14 @@ def cmd_cluster(args) -> None:
     out = _prepare_out(args)
     labels = _pair_labels(table)
     hists = _pair_copulas(table, args.m)
-    cfg = _sinkhorn_config(args)
-    model = cluster_copulas(hists, args.k, GroundCost(args.m), cfg,
+    model = cluster_copulas(hists, args.k, GroundCost(args.m), _sinkhorn_config(args),
                             seed=args.seed, max_rounds=args.max_rounds)
     for cid, _, centroid, _ in centroid_report(model):
         write_cop(centroid, out / f"centroid_{cid}.cop")
         write_heatmap(centroid, out / f"centroid_{cid}.pgm")
-    dist_to_centroid = [
-        float(
-            sinkhorn_values_batch([h], [model.centroids[model.assignment[idx]]],
-                                  GroundCost(args.m), cfg)[0]
-        )
-        for idx, h in enumerate(hists)
-    ]
     rows = [
-        (labels[idx][2], labels[idx][3], int(model.assignment[idx]), dist_to_centroid[idx])
-        for idx in range(len(hists))
+        (labels[idx][2], labels[idx][3], int(cid), float(model.distances[idx, cid]))
+        for idx, cid in enumerate(model.assignment)
     ]
     write_csv_atomic(out / "assignment.csv",
                      ["pair_i", "pair_j", "cluster", "distance_to_centroid"], rows)
@@ -198,14 +190,9 @@ def cmd_query(args) -> None:
         raise InvalidData(f"target resolution {target.m} does not match --m {args.m}")
     labels = _pair_labels(table)
     hists = _pair_copulas(table, args.m)
-    cfg = _sinkhorn_config(args)
-    values = []
-    for start in range(0, len(hists), 64):
-        chunk = hists[start:start + 64]
-        values.extend(
-            sinkhorn_values_batch(chunk, [target] * len(chunk), GroundCost(args.m), cfg)
-        )
-    order = np.argsort(np.asarray(values), kind="stable")
+    values = sinkhorn_values_batch(hists, [target] * len(hists), GroundCost(args.m),
+                                   _sinkhorn_config(args))
+    order = np.argsort(values, kind="stable")
     rows = [
         (rank, labels[idx][2], labels[idx][3], float(values[idx]))
         for rank, idx in enumerate(order)

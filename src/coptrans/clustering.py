@@ -27,13 +27,17 @@ __all__ = ["ClusterModel", "centroid_report", "cluster_copulas"]
 class ClusterModel:
     """Result of clustering: centroids, assignments and the objective trace.
 
-    Keeps references to the clustered histograms and the distance
-    configuration so reports can be computed from the model alone.
+    `distances[i, j]` is the dual-Sinkhorn value of member i against the
+    returned centroid j, bit for bit what `sinkhorn_values_batch` gives for
+    that pair, so callers never re-solve it. Keeps references to the
+    clustered histograms and the distance configuration so reports can be
+    computed from the model alone.
     """
 
     k: int
     centroids: tuple[CopulaHistogram, ...]
     assignment: np.ndarray          # histogram index -> cluster id
+    distances: np.ndarray           # (n, k) member -> returned centroid values
     objective_trace: tuple[float, ...]
     seed: int
     members: tuple[CopulaHistogram, ...] = field(repr=False, default=())
@@ -44,15 +48,8 @@ class ClusterModel:
 def _distances_to_centroids(hists, centroids, cost, cfg) -> np.ndarray:
     """n-by-k matrix of dual-Sinkhorn values."""
     n, k = len(hists), len(centroids)
-    rs, cs = [], []
-    for h in hists:
-        for c in centroids:
-            rs.append(h)
-            cs.append(c)
-    flat = []
-    for start in range(0, len(rs), 64):
-        flat.extend(sinkhorn_values_batch(rs[start:start + 64], cs[start:start + 64], cost, cfg))
-    return np.asarray(flat).reshape(n, k)
+    rs = [h for h in hists for _ in range(k)]
+    return sinkhorn_values_batch(rs, list(centroids) * n, cost, cfg).reshape(n, k)
 
 
 def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
@@ -75,20 +72,23 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
     rng = np.random.default_rng(seed)
 
     # k-means++ style: seed with an arbitrary member, then draw proportionally
-    # to distance from the chosen set.
+    # to distance from the chosen set. Each pick adds one distance column.
     centroids = [hists[int(rng.integers(n))]]
+    d = _distances_to_centroids(hists, centroids, cost, cfg)
     while len(centroids) < k:
-        d = _distances_to_centroids(hists, centroids, cost, cfg).min(axis=1)
-        total = d.sum()
+        near = d.min(axis=1)
+        total = near.sum()
         if total <= 0.0:
             centroids.append(hists[int(rng.integers(n))])
-            continue
-        centroids.append(hists[int(rng.choice(n, p=d / total))])
+        else:
+            centroids.append(hists[int(rng.choice(n, p=near / total))])
+        d = np.column_stack([d, _distances_to_centroids(hists, centroids[-1:], cost, cfg)])
 
+    # `d` always holds the distances to the current centroids: the rounds
+    # solve it after each barycenter update, so it is valid on every exit.
     assignment = np.full(n, -1, dtype=int)
     trace: list[float] = []
     for _ in range(max_rounds):
-        d = _distances_to_centroids(hists, centroids, cost, cfg)
         new_assignment = d.argmin(axis=1)
         for cid in range(k):
             if np.any(new_assignment == cid):
@@ -111,10 +111,12 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
             )
             for cid in range(k)
         ]
+        d = _distances_to_centroids(hists, centroids, cost, cfg)
     return ClusterModel(
         k=k,
         centroids=tuple(centroids),
         assignment=assignment,
+        distances=d,
         objective_trace=tuple(trace),
         seed=seed,
         members=tuple(hists),
@@ -134,25 +136,15 @@ def centroid_report(model: ClusterModel):
     report = []
     for cid in range(model.k):
         idx = np.flatnonzero(model.assignment == cid)
-        members = [model.members[i] for i in idx]
-        if len(members) == 1:
+        if len(idx) == 1:
             medoid = int(idx[0])
         else:
-            within = np.zeros((len(members), len(members)))
-            pairs = [(i, j) for i in range(len(members)) for j in range(len(members)) if i < j]
-            vals = []
-            for start in range(0, len(pairs), 64):
-                chunk = pairs[start:start + 64]
-                vals.extend(
-                    sinkhorn_values_batch(
-                        [members[i] for i, _ in chunk],
-                        [members[j] for _, j in chunk],
-                        model.cost,
-                        model.cfg,
-                    )
-                )
-            for (i, j), v in zip(pairs, vals):
-                within[i, j] = within[j, i] = v
+            iu, ju = np.triu_indices(len(idx), 1)
+            vals = sinkhorn_values_batch([model.members[idx[i]] for i in iu],
+                                         [model.members[idx[j]] for j in ju],
+                                         model.cost, model.cfg)
+            within = np.zeros((len(idx), len(idx)))
+            within[iu, ju] = within[ju, iu] = vals
             medoid = int(idx[int(np.argmin(within.sum(axis=1)))])
-        report.append((cid, len(members), model.centroids[cid], medoid))
+        report.append((cid, len(idx), model.centroids[cid], medoid))
     return report

@@ -17,7 +17,7 @@ from scipy.stats import rankdata
 
 from .copula import CopulaHistogram
 from .errors import AmbiguousSpec, DegenerateColumn, InvalidData
-from .transport import GroundCost, SinkhornConfig, sinkhorn_values_batch
+from .transport import GroundCost, SinkhornConfig, sinkhorn_divergences, sinkhorn_values_batch
 
 __all__ = [
     "TFDCSpec",
@@ -73,23 +73,13 @@ def tfdc(c: CopulaHistogram, spec: TFDCSpec) -> float:
     if in_targets:
         return 1.0
 
+    refs = list(spec.forgets) + list(spec.targets)
     if spec.debias:
-        # One batch for d(x, c), d(x, x) over both sets, plus d(c, c) once.
-        refs = list(spec.forgets) + list(spec.targets)
-        rs = refs + refs + [c]
-        cs = [c] * len(refs) + refs + [c]
-        vals = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
-        cross = vals[: len(refs)]
-        self_ref = vals[len(refs): 2 * len(refs)]
-        self_c = vals[-1]
-        debiased = np.maximum(cross - 0.5 * (self_ref + self_c), 0.0)
-        d_forget = float(debiased[: len(spec.forgets)].min())
-        d_target = float(debiased[len(spec.forgets):].min())
+        vals = np.maximum(sinkhorn_divergences(refs, c, spec.cost, spec.cfg), 0.0)
     else:
-        refs = list(spec.forgets) + list(spec.targets)
         vals = sinkhorn_values_batch(refs, [c] * len(refs), spec.cost, spec.cfg)
-        d_forget = float(vals[: len(spec.forgets)].min())
-        d_target = float(vals[len(spec.forgets):].min())
+    d_forget = float(vals[: len(spec.forgets)].min())
+    d_target = float(vals[len(spec.forgets):].min())
 
     denom = d_forget + d_target
     if denom <= 0.0:

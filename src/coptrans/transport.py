@@ -41,6 +41,7 @@ __all__ = [
 
 _CHECK_EVERY = 10   # marginal residual is evaluated every this many iterations
 _SOR_THETA = 1.7    # over-relaxation factor for the scaling updates (in (1, 2))
+_BATCH_CHUNK = 64   # problems per engine call; bounds the (B, m, m, m) temporaries
 
 
 def default_lambda(m: int) -> float:
@@ -381,16 +382,15 @@ def _lex_swap_mask(R: np.ndarray, C: np.ndarray) -> np.ndarray:
 
     The transport value is symmetric in its arguments, but the alternating
     updates are not; solving each pair in a canonical orientation makes
-    d(r, c) and d(c, r) bitwise identical.
+    d(r, c) and d(c, r) bitwise identical. The orientation puts the grid
+    with the smaller mass at the first differing flat cell first; equal
+    grids compare equal at cell 0 and never swap.
     """
-    B = R.shape[0]
-    mask = np.zeros(B, dtype=bool)
-    for b in range(B):
-        diff = R[b].ravel() != C[b].ravel()
-        if diff.any():
-            k = int(np.argmax(diff))
-            mask[b] = R[b].ravel()[k] > C[b].ravel()[k]
-    return mask
+    r = R.reshape(R.shape[0], -1)
+    c = C.reshape(C.shape[0], -1)
+    first = np.argmax(r != c, axis=1)
+    rows = np.arange(r.shape[0])
+    return r[rows, first] > c[rows, first]
 
 
 def _sinkhorn_log_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: SinkhornConfig):
@@ -437,6 +437,7 @@ def _sinkhorn_log_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sink
             f"{total_iters} iterations (lam={cfg.lam:g})",
             residual=worst,
             value=float(values[0]) if len(values) == 1 else values.tolist(),
+            pair=tuple(int(b) for b in np.flatnonzero(failed)),
         )
     lu, lv, err_r, err_c = _round_to_polytope(lk, lr, lc, R, C, lu, lv)
     values = _plan_value_log(cost.axis_cost, lk, lu, lv)
@@ -527,15 +528,39 @@ def sinkhorn_distance(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
 
 
 def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:
-    """Dual-Sinkhorn values for aligned lists of histograms (log domain only)."""
+    """Dual-Sinkhorn values for aligned lists of histograms (log domain only).
+
+    Takes any number of problems and hands them to the engine in chunks of
+    _BATCH_CHUNK. Each value is a pure function of its own pair, so neither
+    the chunking nor the batch mates change a bit of it. A ConvergenceFailure
+    lists the positions of the failing problems in `.pair`.
+    """
     if len(rs) != len(cs) or not rs:
         raise InvalidData("need equally many source and destination histograms")
     for r, c in zip(rs, cs):
         _check_pair(r, c, cost)
-    R = np.stack([h.mass for h in rs])
-    C = np.stack([h.mass for h in cs])
-    values = _sinkhorn_log_many(R, C, cost, cfg)[0]
-    return np.asarray(values, dtype=float)
+    values = []
+    for start in range(0, len(rs), _BATCH_CHUNK):
+        R = np.stack([h.mass for h in rs[start:start + _BATCH_CHUNK]])
+        C = np.stack([h.mass for h in cs[start:start + _BATCH_CHUNK]])
+        try:
+            values.append(_sinkhorn_log_many(R, C, cost, cfg)[0])
+        except ConvergenceFailure as exc:
+            exc.pair = tuple(start + b for b in exc.pair)
+            raise
+    return np.concatenate(values)
+
+
+def sinkhorn_divergences(xs, c: CopulaHistogram, cost: GroundCost,
+                         cfg: SinkhornConfig) -> np.ndarray:
+    """Debiased values S(x, c) = d(x, c) - (d(x, x) + d(c, c)) / 2 for each x.
+
+    d(x, c), d(x, x) and the shared d(c, c) are solved as one batch.
+    """
+    xs = list(xs)
+    n = len(xs)
+    vals = sinkhorn_values_batch(xs + xs + [c], [c] * n + xs + [c], cost, cfg)
+    return vals[:n] - 0.5 * (vals[n:2 * n] + vals[-1])
 
 
 def sinkhorn_divergence(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
@@ -548,16 +573,15 @@ def sinkhorn_divergence(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost
     """
     if r.same_bits(c):
         return 0.0
-    values = sinkhorn_values_batch([r, r, c], [c, r, c], cost, cfg)
-    return float(values[0] - 0.5 * (values[1] + values[2]))
+    return float(sinkhorn_divergences([r], c, cost, cfg)[0])
 
 
-def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig,
-                             batch_size: int = 64) -> np.ndarray:
+def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:
     """Symmetric matrix of dual-Sinkhorn values over all unordered pairs.
 
     The diagonal stores the entropic self-distance (not forced to zero).
     Evaluation order is fixed, so the output never depends on scheduling.
+    A ConvergenceFailure lists the failing (i, j) pairs in `.pair`.
     """
     hists = list(hists)
     n = len(hists)
@@ -565,19 +589,14 @@ def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig,
         raise InvalidData("need at least one histogram")
     for h in hists:
         _check_pair(h, hists[0], cost)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    iu, ju = np.triu_indices(n)
+    try:
+        values = sinkhorn_values_batch([hists[i] for i in iu], [hists[j] for j in ju], cost, cfg)
+    except ConvergenceFailure as exc:
+        exc.pair = tuple((int(iu[b]), int(ju[b])) for b in exc.pair)
+        raise
     out = np.zeros((n, n))
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start:start + batch_size]
-        try:
-            values = sinkhorn_values_batch(
-                [hists[i] for i, _ in chunk], [hists[j] for _, j in chunk], cost, cfg
-            )
-        except ConvergenceFailure as exc:
-            exc.pair = chunk[0] if len(chunk) == 1 else tuple(chunk)
-            raise
-        for (i, j), val in zip(chunk, values):
-            out[i, j] = out[j, i] = val
+    out[iu, ju] = out[ju, iu] = values
     return out
 
 
