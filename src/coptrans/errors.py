@@ -24,8 +24,12 @@ class InfeasibleProjection(CoptransError):
 class ConvergenceFailure(CoptransError):
     """An iterative solver hit its iteration cap before reaching tolerance.
 
-    Carries the last marginal residual, the last objective value where one is
-    available, and (when raised from a pairwise computation) the pair indices.
+    Carries the last marginal residual and the last objective value where one
+    is available. From a batched transport solve, `pair` names the problems
+    that failed: `sinkhorn_values_batch` gives their positions in the aligned
+    lists, `pairwise_distance_matrix` their (i, j) histogram index pairs.
+    Problems after the first failing chunk of the batch are not solved, so
+    they are never named.
     """
 
     def __init__(self, message, residual=None, value=None, pair=None):

@@ -125,6 +125,15 @@ class TestClusterCopulas:
             obj = cluster_copulas(permuted, 2, cost, cfg, seed=5).objective_trace[-1]
             assert abs(obj - base) < 1e-6
 
+    def test_distances_are_batch_values_to_returned_centroids(self, mw_hists, cost_cfg):
+        cost, cfg = cost_cfg
+        # converged (2 rounds), and cut at the cap right after a barycenter update
+        for max_rounds in (100, 1):
+            model = cluster_copulas(mw_hists, 2, cost, cfg, seed=3, max_rounds=max_rounds)
+            expected = [[sinkhorn_values_batch([h], [c], cost, cfg)[0] for c in model.centroids]
+                        for h in mw_hists]
+            assert np.array_equal(model.distances, expected)
+
     def test_k_validation(self, mw_hists, cost_cfg):
         cost, cfg = cost_cfg
         with pytest.raises(InvalidData):

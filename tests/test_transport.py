@@ -19,7 +19,14 @@ from coptrans import (
     sinkhorn_divergence,
     wasserstein_barycenter,
 )
-from coptrans.transport import _kernel_apply, _log_kernel_apply, sinkhorn_values_batch
+from coptrans.transport import (
+    _kernel_apply,
+    _lex_swap_mask,
+    _log_kernel_apply,
+    _support_cost,
+    _transport_lp,
+    sinkhorn_values_batch,
+)
 
 
 def point_mass(m, i, j):
@@ -167,6 +174,72 @@ class TestSinkhornDistance:
         with pytest.raises(InvalidData):
             sinkhorn_distance(random_histogram(rng, 4), random_histogram(rng, 5),
                               GroundCost(4), SinkhornConfig(lam=10.0))
+
+
+class TestBatchedValues:
+    def test_batch_mates_order_and_chunking_change_no_bit(self, rng):
+        m = 4
+        cost = GroundCost(m)
+        cfg = SinkhornConfig(lam=default_lambda(m))
+        pool = ([random_histogram(rng, m) for _ in range(6)]
+                + [random_sample_copula(rng, m, T=24) for _ in range(4)]
+                + [point_mass(m, 0, 0), point_mass(m, 3, 1)])
+        # 78 problems: the batch crosses the 64-problem chunk boundary
+        rs = [pool[i] for i in range(len(pool)) for j in range(i, len(pool))]
+        cs = [pool[j] for i in range(len(pool)) for j in range(i, len(pool))]
+        batched = sinkhorn_values_batch(rs, cs, cost, cfg)
+        swapped = sinkhorn_values_batch(cs, rs, cost, cfg)
+        single = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in zip(rs, cs)]
+        assert np.array_equal(batched, swapped)
+        assert np.array_equal(batched, single)
+
+    def test_lex_swap_mask_matches_loop(self, rng):
+        R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
+        C = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
+        C[::5] = R[::5]                 # equal grids never swap
+        expected = []
+        for r, c in zip(R.reshape(40, -1), C.reshape(40, -1)):
+            diff = np.flatnonzero(r != c)
+            expected.append(bool(diff.size) and r[diff[0]] > c[diff[0]])
+        assert _lex_swap_mask(R, C).tolist() == expected
+
+    def test_convergence_failure_names_failing_problems(self, rng):
+        m = 6
+        cost = GroundCost(m)
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=20, tol=1e-8)
+        # a point mass against itself converges within this budget, so only
+        # the random pair at position 66 (in the second chunk) fails
+        rs = [point_mass(m, 2, 3)] * 70
+        cs = list(rs)
+        rs[66], cs[66] = random_histogram(rng, m), random_histogram(rng, m)
+        with pytest.raises(ConvergenceFailure) as err:
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert err.value.pair == (66,)
+
+
+class TestDeficitClosure:
+    def test_lp_with_tiny_masses_rejected_by_presolve(self):
+        # Normalized masses down to ~1e-10 on a 47-by-67 support: HiGHS
+        # presolve calls this LP infeasible, though equal totals make any
+        # such LP feasible.
+        rng = np.random.default_rng(485)
+        m = 10
+        nr, nc = rng.integers(20, 50), rng.integers(40, 90)
+        sup_r = np.sort(rng.choice(m * m, nr, replace=False))
+        sup_c = np.sort(rng.choice(m * m, nc, replace=False))
+        masses = []
+        for n in (nr, nc):
+            w = rng.gamma(0.3, size=n)
+            idx = rng.choice(n, 3, replace=False)
+            w[idx] = 10 ** rng.uniform(-9, -7.5, 3)
+            masses.append(w / w.sum())
+        r, c = masses
+        sub = _support_cost(sup_r, sup_c, m)
+        value, plan = _transport_lp(sub, r, c, tight=False)
+        oracle, _ = _transport_lp(sub, r, c)
+        assert abs(value - oracle) <= 1e-9 * oracle
+        assert np.abs(plan.sum(axis=1) - r).max() < 1e-9
+        assert np.abs(plan.sum(axis=0) - c).max() < 1e-9
 
 
 class TestExactOt:
@@ -327,3 +400,14 @@ class TestPairwiseDistanceMatrix:
         perm = [3, 1, 4, 0, 2]
         permuted = pairwise_distance_matrix([hists[p] for p in perm], cost, cfg)
         assert np.abs(permuted - base[np.ix_(perm, perm)]).max() < 1e-12
+
+    def test_convergence_failure_names_failing_pairs(self, rng):
+        m = 6
+        a = point_mass(m, 2, 3)
+        b = random_histogram(rng, m)
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=20, tol=1e-8)
+        # a point mass against itself converges within this budget; every
+        # pair that involves the random histogram does not
+        with pytest.raises(ConvergenceFailure) as err:
+            pairwise_distance_matrix([a, a, b, a], GroundCost(m), cfg)
+        assert err.value.pair == ((0, 2), (1, 2), (2, 2), (2, 3))
