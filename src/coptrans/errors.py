@@ -29,7 +29,7 @@ class ConvergenceFailure(CoptransError):
     that failed: `sinkhorn_values_batch` gives their positions in the aligned
     lists, `pairwise_distance_matrix` their (i, j) histogram index pairs.
     Problems after the first failing chunk of the batch are not solved, so
-    they are never named.
+    they are never named. A failed deficit-closure LP leaves `pair` None.
     """
 
     def __init__(self, message, residual=None, value=None, pair=None):

@@ -546,7 +546,8 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
         try:
             values.append(_sinkhorn_log_many(R, C, cost, cfg)[0])
         except ConvergenceFailure as exc:
-            exc.pair = tuple(start + b for b in exc.pair)
+            if exc.pair is not None:  # a closure-LP failure names no problem
+                exc.pair = tuple(start + b for b in exc.pair)
             raise
     return np.concatenate(values)
 
@@ -593,7 +594,8 @@ def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig) -> np
     try:
         values = sinkhorn_values_batch([hists[i] for i in iu], [hists[j] for j in ju], cost, cfg)
     except ConvergenceFailure as exc:
-        exc.pair = tuple((int(iu[b]), int(ju[b])) for b in exc.pair)
+        if exc.pair is not None:
+            exc.pair = tuple((int(iu[b]), int(ju[b])) for b in exc.pair)
         raise
     out = np.zeros((n, n))
     out[iu, ju] = out[ju, iu] = values

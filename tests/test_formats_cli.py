@@ -14,6 +14,7 @@ from coptrans import (
     write_cop,
     write_heatmap,
 )
+from coptrans import ConvergenceFailure, transport
 from coptrans.cli import main
 
 
@@ -231,3 +232,13 @@ class TestCli:
                      "--coefficients", "spearman", "--n-sims", "5",
                      "--sample-size", "60", "--seed", "3", "--out", str(out)])
         assert code == 2
+
+    def test_exit_code_convergence_failure(self, dataset, tmp_path, monkeypatch, capsys):
+        def failing_lp(*args, **kwargs):
+            raise ConvergenceFailure("transport LP failed: stub")
+
+        monkeypatch.setattr(transport, "_transport_lp", failing_lp)
+        code = main(["cluster", "--input", str(dataset), "--m", "8", "--k", "2",
+                     "--seed", "5", "--out", str(tmp_path / "cl")])
+        assert code == 3
+        assert "transport LP failed" in capsys.readouterr().err
