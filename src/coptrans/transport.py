@@ -185,10 +185,41 @@ def _lse(a: np.ndarray, axis: int) -> np.ndarray:
     return out + np.squeeze(amax_safe, axis=axis)
 
 
+_UNDERFLOW = 1e-250  # shifted products below this are recomputed exactly
+
+
+def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """out[..., i, q] = LSE_j (lw[..., i, j] + lk[j, q]) for a symmetric lk <= 0.
+
+    Shifting each row of lw by its max puts every factor of the product in
+    [0, 1], so the matmul loses only the terms that underflow, each below
+    about 1e-308; an entry of at least _UNDERFLOW is therefore exact to float
+    rounding. Smaller entries, where the kernel's Gaussian tails underflowed,
+    take the exact LSE over their row. The matmul runs slice by slice, so
+    each slice's bits do not depend on the batch around it.
+    """
+    s = np.max(lw, axis=-1, keepdims=True)
+    finite = np.isfinite(s)
+    s = np.where(finite, s, 0.0)
+    prod = np.exp(lw - s) @ np.exp(lk)
+    with np.errstate(divide="ignore"):
+        out = np.log(prod) + s
+    # an all -inf row already gives -inf and needs no recomputation
+    redo = np.nonzero((prod < _UNDERFLOW) & finite)
+    if redo[0].size:
+        out[redo] = _lse(lw[redo[:-1]] + lk[redo[-1]], axis=-1)
+    return out
+
+
 def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """out[..., p, q] = LSE_{p', q'} (lk[p, p'] + lk[q, q'] + lw[..., p', q'])."""
-    inner = _lse(lw[..., :, None, :] + lk, axis=-1)  # (..., p', q)
-    return _lse(lk[:, :, None] + inner[..., None, :, :], axis=-2)
+    """out[..., p, q] = LSE_{p', q'} (lk[p, p'] + lk[q, q'] + lw[..., p', q']).
+
+    The separable kernel is applied as two shifted matmuls, one per grid
+    axis (see _lse_contract); the second runs on the swapped axes.
+    """
+    inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
+    outer = _lse_contract(lk, np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
+    return np.ascontiguousarray(np.swapaxes(outer, -1, -2))
 
 
 def _kernel_apply(k: np.ndarray, w: np.ndarray) -> np.ndarray:
