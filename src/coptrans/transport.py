@@ -350,8 +350,11 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
     problem freezes its potentials the moment its own stopping rule fires
     (tolerance reached, or stagnation at the equilibration floor), so each
     result is a pure function of its own inputs, never of its batch mates.
-    Returns (lu, lv, residuals, iterations, stalled) with per-problem
-    residuals and stall flags.
+    At each residual check the frozen problems are written to the outputs
+    and dropped from every per-problem array, so later iterations touch only
+    the problems still open; `active` maps the remaining rows back to their
+    batch positions. Returns (lu, lv, residuals, iterations, stalled) with
+    per-problem residuals and stall flags.
     """
     B = R.shape[0]
     sup_r = np.isfinite(lr)
@@ -360,7 +363,7 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
     theta = np.full((B, 1, 1), _SOR_THETA)
     best = np.full(B, np.inf)
     stagnant = np.zeros(B, dtype=int)
-    done = np.zeros(B, dtype=bool)
+    active = np.arange(B)
     stalled = np.zeros(B, dtype=bool)
     out_lu = lu.copy()
     out_lv = lv.copy()
@@ -379,10 +382,9 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
                 np.abs(row - R).max(axis=(-2, -1)),
                 np.abs(col - C).max(axis=(-2, -1)),
             )
-            open_ = ~done
-            converged = open_ & (res < tol)
-            no_gain = open_ & ~converged & (res > 0.9 * best)
-            improving = open_ & ~converged & ~no_gain
+            converged = res < tol
+            no_gain = ~converged & (res > 0.9 * best)
+            improving = ~converged & ~no_gain
             hot = theta[:, 0, 0] > 1.0
             theta[:, 0, 0] = np.where(
                 no_gain & hot, np.maximum(1.0, theta[:, 0, 0] - 0.35), theta[:, 0, 0]
@@ -392,19 +394,23 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
             # 1 - exp(-lam * cost gap), so further iterations are futile.
             stagnant = np.where(no_gain & ~hot, stagnant + 1, stagnant)
             stagnant[improving] = 0
-            newly_stalled = open_ & (stagnant >= 5)
+            newly_stalled = stagnant >= 5
             freeze = converged | newly_stalled
             if it == max_iter:
-                freeze = freeze | open_
-            stalled |= newly_stalled
+                freeze[:] = True
+            stalled[active[newly_stalled]] = True
             if np.any(freeze):
-                out_lu[freeze] = lu[freeze]
-                out_lv[freeze] = lv[freeze]
-                residuals[freeze] = res[freeze]
-                done |= freeze
+                out_lu[active[freeze]] = lu[freeze]
+                out_lv[active[freeze]] = lv[freeze]
+                residuals[active[freeze]] = res[freeze]
+                keep = ~freeze
+                if not keep.any():
+                    break
+                active = active[keep]
+                lu, lv, lr, lc, R, C = lu[keep], lv[keep], lr[keep], lc[keep], R[keep], C[keep]
+                sup_r, sup_c, theta = sup_r[keep], sup_c[keep], theta[keep]
+                best, stagnant, res = best[keep], stagnant[keep], res[keep]
             best = np.minimum(best, res)
-            if done.all():
-                break
     return out_lu, out_lv, residuals, it, stalled
 
 
