@@ -22,7 +22,7 @@ from .copula import (
     reference_copula,
 )
 from .dependence import TFDCSpec, distance_correlation, pearson, rdc, spearman, tfdc
-from .errors import InvalidParameter
+from .errors import CoptransError, InvalidParameter
 from .synth import POWER_PATTERNS, gen_power_pattern, pattern_extrema
 from .transport import GroundCost, SinkhornConfig, default_lambda
 
@@ -126,9 +126,11 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     """Estimate rejection power at the 5% level against the permutation null.
 
     `coefficient` is a registry name or an (x, y) -> float callable. A
-    coefficient failure on a replicate counts as a non-rejection (the
-    replicate stays in the denominator); failures on null replicates push
-    that replicate to the bottom of the null distribution. With
+    coefficient that raises a CoptransError on a replicate (a degenerate
+    column, a failed solve) counts as a non-rejection (the replicate stays in
+    the denominator); such failures on null replicates push that replicate to
+    the bottom of the null distribution. Any other exception is a bug and
+    propagates. With
     null_vs_null=True the alternative data are permuted too, which calibrates
     the size of the test.
     """
@@ -146,7 +148,7 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     def safe(x, y):
         try:
             return float(func(x, y))
-        except Exception:
+        except CoptransError:
             return -np.inf
 
     null_stats = np.empty(n_sims)

@@ -5,8 +5,12 @@ m-by-m grid scaled to the unit square, so the exact optimum is a discretized
 squared 2-Wasserstein distance. The Gibbs kernel of that cost separates into
 two one-axis factors, which is what makes the scaling iterations fast: every
 kernel application is two m-by-m contractions instead of one m^2-by-m^2
-product. A dense LP oracle over the support cells provides exact values for
-desk-scale instances.
+product. The iterations run in the log domain, and each contraction is a
+shifted matmul through BLAS: rows of log-weights are shifted by their max,
+exponentiated and multiplied by the exponentiated one-axis kernel, with an
+exact log-sum-exp only where the kernel's tails underflowed. A dense LP
+oracle over the support cells provides exact values for desk-scale
+instances.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ __all__ = [
 
 _CHECK_EVERY = 10   # marginal residual is evaluated every this many iterations
 _SOR_THETA = 1.7    # over-relaxation factor for the scaling updates (in (1, 2))
-_BATCH_CHUNK = 64   # problems per engine call; bounds the (B, m, m, m) temporaries
+_BATCH_CHUNK = 64   # problems per engine call; bounds _plan_value_log's (B, m, m, m) temporaries
 
 
 def default_lambda(m: int) -> float:
@@ -189,15 +193,7 @@ _UNDERFLOW = 1e-250  # shifted products below this are recomputed exactly
 
 
 def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """out[..., i, q] = LSE_j (lw[..., i, j] + lk[j, q]) for a symmetric lk <= 0.
-
-    Shifting each row of lw by its max puts every factor of the product in
-    [0, 1], so the matmul loses only the terms that underflow, each below
-    about 1e-308; an entry of at least _UNDERFLOW is therefore exact to float
-    rounding. Smaller entries, where the kernel's Gaussian tails underflowed,
-    take the exact LSE over their row. The matmul runs slice by slice, so
-    each slice's bits do not depend on the batch around it.
-    """
+    """out[..., i, q] = LSE_j (lw[..., i, j] + lk[j, q]) for a symmetric lk <= 0."""
     s = np.max(lw, axis=-1, keepdims=True)
     finite = np.isfinite(s)
     s = np.where(finite, s, 0.0)
@@ -215,7 +211,16 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     """out[..., p, q] = LSE_{p', q'} (lk[p, p'] + lk[q, q'] + lw[..., p', q']).
 
     The separable kernel is applied as two shifted matmuls, one per grid
-    axis (see _lse_contract); the second runs on the swapped axes.
+    axis; the second runs on the swapped axes. Each shifts every row of
+    log-weights by its max s, computes log(exp(lw - s) @ exp(lk)) + s, and
+    recomputes by the exact LSE over the row only the entries whose product
+    is below 1e-250. Why that threshold: after the shift every factor lies
+    in [0, 1], so a term of the product can only be lost to underflow, below
+    about 1e-308, and m such terms cannot move an entry of at least 1e-250
+    by more than float rounding. Smaller entries are those where the
+    Gaussian kernel's tails underflowed (at the default sharpness, from nine
+    grid steps on). The matmuls run slice by slice over the batch, so each
+    slice's bits never depend on its batch mates.
     """
     inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
     outer = _lse_contract(lk, np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
@@ -292,8 +297,9 @@ def _close_deficit(err_r: np.ndarray, err_c: np.ndarray, m: int):
     """Cost and coupling that close the rounding deficit.
 
     Small deficits are closed optimally with a tiny transport LP over their
-    support cells; large-support deficits fall back to the rank-one coupling
-    (their mass is tol-scale, so the coarser routing is immaterial there).
+    support cells, whose plan is then rounded to exact marginals;
+    large-support deficits fall back to the rank-one coupling (their mass is
+    tol-scale, so the coarser routing is immaterial there).
     Returns (cost, correction) where correction is None for the rank-one case
     or (idx_r, idx_c, small_plan) otherwise.
     """
@@ -315,13 +321,24 @@ def _close_deficit(err_r: np.ndarray, err_c: np.ndarray, m: int):
         return _rank_one_cost(GroundCost(m).axis_cost, err_r, err_c), None
     # Solve in unit-mass units: deficit totals can sit below the LP solver's
     # feasibility tolerance, where the raw problem looks degenerate to it.
-    kept_r = err_r.ravel()[idx_r]
-    kept_c = err_c.ravel()[idx_c]
+    a = err_r.ravel()[idx_r]
+    b = err_c.ravel()[idx_c]
+    a, b = a / a.sum(), b / b.sum()
     sub = _support_cost(idx_r, idx_c, m)
-    value, small_plan = _transport_lp(
-        sub, kept_r / kept_r.sum(), kept_c / kept_c.sum(), tight=False
-    )
-    return value * s_r, (idx_r, idx_c, small_plan * s_r)
+    _, plan = _transport_lp(sub, a, b, tight=False)
+    # HiGHS holds the marginals and the sign only to its 1e-7 feasibility
+    # tolerance, so an unrounded plan could cost less than the optimum. Round
+    # it onto the polytope as _round_to_polytope does the scaling plan.
+    plan = np.clip(plan, 0.0, None)
+    with np.errstate(divide="ignore"):
+        plan *= np.minimum(a / plan.sum(axis=1), 1.0)[:, None]
+        plan *= np.minimum(b / plan.sum(axis=0), 1.0)[None, :]
+    left_r = np.clip(a - plan.sum(axis=1), 0.0, None)
+    left_c = np.clip(b - plan.sum(axis=0), 0.0, None)
+    if left_r.sum() > 0.0:
+        plan += np.outer(left_r, left_c) / left_r.sum()
+    small_plan = plan * s_r
+    return float(np.sum(small_plan * sub)), (idx_r, idx_c, small_plan)
 
 
 def _anneal_schedule(lam: float, m: int) -> list[float]:

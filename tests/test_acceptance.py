@@ -349,6 +349,9 @@ def test_criterion_9_cli_determinism(tmp_path):
                       "--out", str(base / "synth")], threads)
             _run_cli(["cluster", "--input", str(data), "--m", "8", "--k", "2",
                       "--seed", "5", "--out", str(base / "cluster")], threads)
+            # distances come from BLAS matmuls, whose thread count must not move a bit
+            _run_cli(["dist", "--input", str(data), "--m", "24",
+                      "--out", str(base / "dist")], threads)
             _run_cli(["power", "--patterns", "quadratic", "--noise-levels", "0,1",
                       "--coefficients", "spearman,rdc", "--n-sims", "20",
                       "--sample-size", "60", "--seed", "11",
@@ -356,6 +359,7 @@ def test_criterion_9_cli_determinism(tmp_path):
             artifacts[run] = {
                 "synth": (base / "synth" / "data.csv").read_bytes(),
                 "cluster": (base / "cluster" / "assignment.csv").read_bytes(),
+                "dist": (base / "dist" / "distance-matrix.csv").read_bytes(),
                 "power": (base / "power" / "power.csv").read_bytes(),
             }
         assert artifacts["r1"] == artifacts["r2"]

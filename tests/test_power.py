@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coptrans import (
+    DegenerateColumn,
     InvalidParameter,
     estimate_power,
     make_tfdc_coefficient,
@@ -33,11 +34,18 @@ class TestEstimatePower:
 
     def test_failing_coefficient_counts_as_non_rejection(self):
         def broken(x, y):
-            raise RuntimeError("no value")
+            raise DegenerateColumn("no value")
 
         broken.__name__ = "broken"
         res = estimate_power("linear", 0.0, broken, n_sims=20, sample_size=50, seed=4)
         assert res.power == 0.0
+
+    def test_coefficient_bug_propagates(self):
+        def buggy(x, y):
+            raise TypeError("not a library error")
+
+        with pytest.raises(TypeError, match="not a library error"):
+            estimate_power("linear", 0.0, buggy, n_sims=20, sample_size=50, seed=4)
 
     def test_deterministic_bit_for_bit(self):
         a = estimate_power("quadratic", 1.0, "dcor", n_sims=30, sample_size=80, seed=5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import random_histogram, random_sample_copula
 from coptrans import (
@@ -21,6 +22,7 @@ from coptrans import (
 )
 from coptrans import transport
 from coptrans.transport import (
+    _close_deficit,
     _kernel_apply,
     _lex_swap_mask,
     _log_kernel_apply,
@@ -106,6 +108,34 @@ class TestGroundCost:
         lw[0, :] = -np.inf
         dense = np.log(np.exp(-lam * cost.matrix) @ np.exp(lw).ravel()).reshape(m, m)
         assert np.abs(_log_kernel_apply(lk, lw) - dense).max() < 1e-10
+
+        # At the default sharpness the kernel underflows a few cells away, so
+        # point-mass-like weights leave entries for the exact fallback.
+        m = 12
+        cost = GroundCost(m)
+        lk = -default_lambda(m) * cost.axis_cost
+        lws = np.log(rng.gamma(0.5, size=(5, m, m)))
+        lws[0] = -700.0 + rng.standard_normal((m, m))
+        lws[0, 2, 9] = 0.0
+        lws[1] = -np.inf
+        lws[1, 11, 0] = 0.0
+        lws[2, 4, :] = -np.inf
+        lws[2, :, 7] = -np.inf
+        lws[3] = -np.inf
+        out = _log_kernel_apply(lk, lws)
+        for lw, got in zip(lws, out):
+            dense = logsumexp(-default_lambda(m) * cost.matrix + lw.ravel(), axis=1)
+            dense = dense.reshape(m, m)
+            assert np.array_equal(np.isfinite(got), np.isfinite(dense))
+            fin = np.isfinite(dense)
+            scale = np.maximum(1.0, np.abs(dense[fin]))
+            assert np.all(np.abs(got[fin] - dense[fin]) <= 1e-12 * scale)
+        assert np.any(np.isfinite(out[0]) & (out[0] < np.log(1e-250)))
+        assert np.all(out[3] == -np.inf)
+        # each slice's bits are those of the slice solved on its own
+        for b in range(len(lws)):
+            assert np.array_equal(out[b], _log_kernel_apply(lk, lws[b]))
+            assert np.array_equal(out[b:b + 1], _log_kernel_apply(lk, lws[b:b + 1]))
 
 
 class TestSinkhornDistance:
@@ -197,20 +227,28 @@ class TestSinkhornDistance:
 
 class TestBatchedValues:
     def test_batch_mates_order_and_chunking_change_no_bit(self, rng):
-        m = 4
-        cost = GroundCost(m)
-        cfg = SinkhornConfig(lam=default_lambda(m))
-        pool = ([random_histogram(rng, m) for _ in range(6)]
-                + [random_sample_copula(rng, m, T=24) for _ in range(4)]
-                + [point_mass(m, 0, 0), point_mass(m, 3, 1)])
-        # 78 problems: the batch crosses the 64-problem chunk boundary
-        rs = [pool[i] for i in range(len(pool)) for j in range(i, len(pool))]
-        cs = [pool[j] for i in range(len(pool)) for j in range(i, len(pool))]
-        batched = sinkhorn_values_batch(rs, cs, cost, cfg)
-        swapped = sinkhorn_values_batch(cs, rs, cost, cfg)
-        single = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in zip(rs, cs)]
-        assert np.array_equal(batched, swapped)
-        assert np.array_equal(batched, single)
+        # m=4: 78 problems, so the batch crosses the 64-problem chunk
+        # boundary. m=12: problems freeze at different iterations, so the
+        # batch shrinks as it runs, and the point masses drive the kernel's
+        # underflow fallback.
+        pools = {
+            4: ([random_histogram(rng, 4) for _ in range(6)]
+                + [random_sample_copula(rng, 4, T=24) for _ in range(4)]
+                + [point_mass(4, 0, 0), point_mass(4, 3, 1)]),
+            12: ([random_histogram(rng, 12) for _ in range(2)]
+                 + [random_sample_copula(rng, 12, T=60) for _ in range(3)]
+                 + [point_mass(12, 0, 0), point_mass(12, 7, 10)]),
+        }
+        for m, pool in pools.items():
+            cost = GroundCost(m)
+            cfg = SinkhornConfig(lam=default_lambda(m))
+            rs = [pool[i] for i in range(len(pool)) for j in range(i, len(pool))]
+            cs = [pool[j] for i in range(len(pool)) for j in range(i, len(pool))]
+            batched = sinkhorn_values_batch(rs, cs, cost, cfg)
+            swapped = sinkhorn_values_batch(cs, rs, cost, cfg)
+            single = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in zip(rs, cs)]
+            assert np.array_equal(batched, swapped)
+            assert np.array_equal(batched, single)
 
     def test_lex_swap_mask_matches_loop(self, rng):
         R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
@@ -236,23 +274,27 @@ class TestBatchedValues:
         assert err.value.pair == (66,)
 
 
+def tiny_mass_instance(seed, m=10):
+    """Closure-LP supports on an m-by-m grid with normalized masses down to ~1e-10."""
+    rng = np.random.default_rng(seed)
+    nr, nc = rng.integers(20, 50), rng.integers(40, 90)
+    sup_r = np.sort(rng.choice(m * m, nr, replace=False))
+    sup_c = np.sort(rng.choice(m * m, nc, replace=False))
+    masses = []
+    for n in (nr, nc):
+        w = rng.gamma(0.3, size=n)
+        idx = rng.choice(n, 3, replace=False)
+        w[idx] = 10 ** rng.uniform(-9, -7.5, 3)
+        masses.append(w / w.sum())
+    return sup_r, sup_c, masses[0], masses[1]
+
+
 class TestDeficitClosure:
     def test_lp_with_tiny_masses_rejected_by_presolve(self):
-        # Normalized masses down to ~1e-10 on a 47-by-67 support: HiGHS
-        # presolve calls this LP infeasible, though equal totals make any
-        # such LP feasible.
-        rng = np.random.default_rng(485)
+        # A 47-by-67 support: HiGHS presolve calls this LP infeasible, though
+        # equal totals make any such LP feasible.
         m = 10
-        nr, nc = rng.integers(20, 50), rng.integers(40, 90)
-        sup_r = np.sort(rng.choice(m * m, nr, replace=False))
-        sup_c = np.sort(rng.choice(m * m, nc, replace=False))
-        masses = []
-        for n in (nr, nc):
-            w = rng.gamma(0.3, size=n)
-            idx = rng.choice(n, 3, replace=False)
-            w[idx] = 10 ** rng.uniform(-9, -7.5, 3)
-            masses.append(w / w.sum())
-        r, c = masses
+        sup_r, sup_c, r, c = tiny_mass_instance(485, m)
         sub = _support_cost(sup_r, sup_c, m)
         value, plan = _transport_lp(sub, r, c, tight=False)
         # The tight LP is no oracle at these masses (its presolve reads entries
@@ -267,6 +309,28 @@ class TestDeficitClosure:
         assert np.abs(plan.sum(axis=1) - r).max() < 1e-9
         assert np.abs(plan.sum(axis=0) - c).max() < 1e-9
 
+    def test_closure_plan_is_exactly_feasible(self):
+        # HiGHS meets this instance's marginals only to its 1e-7 feasibility
+        # tolerance (its plan is 7.4e-8 short of unit mass); the closure must
+        # still return the cost of an exactly feasible plan.
+        m, mass = 10, 3e-3
+        sup_r, sup_c, r, c = tiny_mass_instance(902, m)
+        err_r, err_c = np.zeros(m * m), np.zeros(m * m)
+        err_r[sup_r], err_c[sup_c] = mass * r, mass * c
+        s = err_r.sum()
+        cost, (idx_r, idx_c, plan) = _close_deficit(err_r.reshape(m, m), err_c.reshape(m, m), m)
+        # cells under a billionth of the deficit are pruned; the kept ones
+        # carry the whole deficit mass
+        a = err_r[idx_r] / err_r[idx_r].sum()
+        b = err_c[idx_c] / err_c[idx_c].sum()
+        sub = _support_cost(idx_r, idx_c, m)
+        value, lp_plan = _transport_lp(sub, a, b, tight=False)
+        assert np.abs(lp_plan.sum(axis=1) - a).max() > 1e-8
+        assert plan.min() >= 0.0
+        assert np.abs(plan.sum(axis=1) - s * a).max() <= 1e-15 * s
+        assert np.abs(plan.sum(axis=0) - s * b).max() <= 1e-15 * s
+        assert cost == np.sum(plan * sub)
+        assert cost >= value * s
 
     def test_lp_failure_reaches_batched_callers(self, rng, monkeypatch):
         # A failed closure LP names no problem: batched callers must pass the
