@@ -130,9 +130,8 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     column, a failed solve) counts as a non-rejection (the replicate stays in
     the denominator); such failures on null replicates push that replicate to
     the bottom of the null distribution. Any other exception is a bug and
-    propagates. With
-    null_vs_null=True the alternative data are permuted too, which calibrates
-    the size of the test.
+    propagates. With null_vs_null=True the alternative data are permuted
+    too, which calibrates the size of the test.
     """
     if n_sims < 10:
         raise InvalidParameter(f"need n_sims >= 10, got {n_sims}")

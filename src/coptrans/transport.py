@@ -220,7 +220,8 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     by more than float rounding. Smaller entries are those where the
     Gaussian kernel's tails underflowed (at the default sharpness, from nine
     grid steps on). The matmuls run slice by slice over the batch, so each
-    slice's bits never depend on its batch mates.
+    slice's bits never depend on its batch mates; contiguous operands keep
+    every slice on the same BLAS call whatever layout the caller passes.
     """
     inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
     outer = _lse_contract(lk, np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
