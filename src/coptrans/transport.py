@@ -95,11 +95,16 @@ class SinkhornConfig:
     closer to the exact optimum and slower convergence. tol is the iteration
     target for the L-inf marginal violation; the 1e-4 default reflects how
     scaling iterations behave at sharp lam, where marginals tighten at
-    roughly 1/iterations while the value is already accurate. Sparse
-    histograms can stagnate at their float64 equilibration floor above tol
-    (the contraction factor degrades like 1 - exp(-lam * cost gap)); the
-    solver then stops early, and the polytope rounding restores exact plan
-    marginals either way, so returned values are always feasible-plan costs.
+    roughly 1/iterations while the value is already accurate. A problem also
+    stops, as stalled, after 5 residual checks without a 10% gain; that
+    fires on slow convergence too, so its residual can stay above tol. The
+    polytope rounding restores exact plan marginals either way, so returned
+    values are always feasible-plan costs.
+
+    log_domain=False runs the scaling iterations with the plain kernel
+    log(K exp(w)) instead of the stabilised log-sum-exp one; when that
+    leaves float64 range, the solve raises UnderflowDetected. Rounding, plan
+    values and wasserstein_barycenter run in the log domain either way.
     """
 
     lam: float
@@ -120,10 +125,12 @@ class SinkhornConfig:
 class TransportPlan:
     """Entropic plan rounded onto the transportation polytope.
 
-    Stored as P = diag(u) K diag(v) + outer(err_r, err_c) / sum(err_r): the
-    factored scaling part plus the rank-one feasibility correction that gives
+    Stored as P = diag(u) K diag(v) plus a feasibility correction that gives
     the plan exact marginals even when the scaling iterations stopped at a
-    finite residual.
+    finite residual. With `correction` None it is the rank-one term
+    outer(err_r, err_c) / sum(err_r); otherwise it is the closure LP's plan
+    `small_plan` over the deficit cells idx_r (source) and idx_c
+    (destination), flat indices p * m + q.
     """
 
     m: int
@@ -233,6 +240,14 @@ def _kernel_apply(k: np.ndarray, w: np.ndarray) -> np.ndarray:
     return k @ w @ k
 
 
+def _plain_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
+    """`_log_kernel_apply` as log(k @ exp(lw) @ k), unstabilised: at sharp lam
+    its result leaves float64 range, which the scaling loop's residual check
+    reports as UnderflowDetected."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.log(_kernel_apply(np.exp(lk), np.exp(lw)))
+
+
 def _plan_value_log(axis_cost: np.ndarray, lk: np.ndarray,
                     lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
     # <P, M> via the two pair-axis marginals of the plan; entries of the
@@ -244,13 +259,6 @@ def _plan_value_log(axis_cost: np.ndarray, lk: np.ndarray,
     t2 = _lse(b2[..., :, :, None] + lv[..., None, :, :], axis=-2)  # (..., q, q')
     s2 = np.sum(axis_cost * np.exp(lk + t2), axis=(-2, -1))
     return s1 + s2
-
-
-def _plan_value_plain(axis_cost: np.ndarray, k: np.ndarray,
-                      u: np.ndarray, v: np.ndarray) -> float:
-    w_row = k * (u @ k @ v.T)
-    w_col = k * (u.T @ k @ v)
-    return float(np.sum(axis_cost * (w_row + w_col)))
 
 
 def _safe_log(a: np.ndarray) -> np.ndarray:
@@ -355,24 +363,29 @@ def _anneal_schedule(lam: float, m: int) -> list[float]:
     return schedule[::-1]
 
 
-def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
+def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     """Over-relaxed scaling updates with per-problem stopping.
 
     Over-relaxation keeps the plain Sinkhorn fixed point but contracts much
     faster in the sharp-kernel regime; where the residual stops improving the
-    relaxation factor is walked back toward plain updates, whose float64
-    stagnation floor is lower. Cells with zero mass keep their potentials
-    pinned at -inf, outside the relaxation combination.
+    relaxation factor is walked back toward plain updates. Cells with zero
+    mass keep their potentials pinned at -inf, outside the relaxation
+    combination. `kernel` is `_log_kernel_apply` or `_plain_kernel_apply`;
+    both map log-weights to log-weights. A residual that is not finite means
+    the plain kernel left float64 range and raises UnderflowDetected.
 
     The updates are elementwise-independent across the batch, and every
-    problem freezes its potentials the moment its own stopping rule fires
-    (tolerance reached, or stagnation at the equilibration floor), so each
-    result is a pure function of its own inputs, never of its batch mates.
-    At each residual check the frozen problems are written to the outputs
-    and dropped from every per-problem array, so later iterations touch only
-    the problems still open; `active` maps the remaining rows back to their
-    batch positions. Returns (lu, lv, residuals, iterations, stalled) with
-    per-problem residuals and stall flags.
+    problem freezes its potentials the moment its own stopping rule fires,
+    so each result is a pure function of its own inputs, never of its batch
+    mates. A problem freezes when its residual is below tol, or as stalled
+    after 5 checks in a row at plain updates without a 10% gain on its best
+    residual. That rule also fires on slow convergence, so a stalled problem
+    can freeze well above tol. At each residual check the frozen problems
+    are written to the outputs and dropped from every per-problem array, so
+    later iterations touch only the problems still open; `active` maps the
+    remaining rows back to their batch positions. Returns (lu, lv,
+    residuals, iterations, stalled) with per-problem residuals and stall
+    flags.
     """
     B = R.shape[0]
     sup_r = np.isfinite(lr)
@@ -388,18 +401,22 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
     residuals = np.full(B, np.inf)
     it = 0
     for it in range(1, max_iter + 1):
-        with np.errstate(invalid="ignore"):
-            step = lr - _log_kernel_apply(lk, lv)
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = lr - kernel(lk, lv)
             lu = np.where(sup_r, (1.0 - theta) * lu + theta * step, neg_inf)
-            step = lc - _log_kernel_apply(lk, lu)
+            step = lc - kernel(lk, lu)
             lv = np.where(sup_c, (1.0 - theta) * lv + theta * step, neg_inf)
         if it % _CHECK_EVERY == 0 or it == max_iter:
-            row = np.exp(lu + _log_kernel_apply(lk, lv))
-            col = np.exp(lv + _log_kernel_apply(lk, lu))
-            res = np.maximum(
-                np.abs(row - R).max(axis=(-2, -1)),
-                np.abs(col - C).max(axis=(-2, -1)),
-            )
+            with np.errstate(invalid="ignore", over="ignore"):
+                row = np.exp(lu + kernel(lk, lv))
+                col = np.exp(lv + kernel(lk, lu))
+                res = np.maximum(
+                    np.abs(row - R).max(axis=(-2, -1)),
+                    np.abs(col - C).max(axis=(-2, -1)),
+                )
+            if not np.all(np.isfinite(res)):
+                raise UnderflowDetected(f"marginal residual not finite at iteration {it}; "
+                                        "retry with log_domain=True")
             converged = res < tol
             no_gain = ~converged & (res > 0.9 * best)
             improving = ~converged & ~no_gain
@@ -407,9 +424,6 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv):
             theta[:, 0, 0] = np.where(
                 no_gain & hot, np.maximum(1.0, theta[:, 0, 0] - 0.35), theta[:, 0, 0]
             )
-            # Plain updates that no longer improve have hit the float64
-            # equilibration floor: the contraction factor degrades like
-            # 1 - exp(-lam * cost gap), so further iterations are futile.
             stagnant = np.where(no_gain & ~hot, stagnant + 1, stagnant)
             stagnant[improving] = 0
             newly_stalled = stagnant >= 5
@@ -448,16 +462,17 @@ def _lex_swap_mask(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return r[rows, first] > c[rows, first]
 
 
-def _sinkhorn_log_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: SinkhornConfig):
-    """Batched log-domain scaling iterations with sharpness annealing.
+def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: SinkhornConfig):
+    """Batched scaling iterations with sharpness annealing.
 
     R, C have shape (B, m, m); returns (values, log_u, log_v, err_r, err_c,
     corrections, iters). Warm-starting through the sharpness ramp changes
     nothing about the fixed point at cfg.lam; it only accelerates
     convergence, and the schedule is a pure function of (lam, m). Every
-    problem stops on its own rule, so batching never changes results. The
-    final plan is rounded onto the polytope, making the returned values costs
-    of exactly feasible plans.
+    problem stops on its own rule, so batching never changes results.
+    cfg.log_domain picks the kernel of the scaling iterations only. The final
+    plan is rounded onto the polytope in the log domain, making the returned
+    values costs of exactly feasible plans.
     """
     swap = _lex_swap_mask(R, C)[:, None, None]
     R, C = np.where(swap, C, R), np.where(swap, R, C)
@@ -466,6 +481,7 @@ def _sinkhorn_log_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sink
     lv = np.zeros_like(C)
     lu = np.zeros_like(R)
     schedule = _anneal_schedule(cfg.lam, cost.m)
+    kernel = _log_kernel_apply if cfg.log_domain else _plain_kernel_apply
     total_iters = 0
     residuals = np.full(R.shape[0], np.inf)
     stalled = np.zeros(R.shape[0], dtype=bool)
@@ -476,7 +492,8 @@ def _sinkhorn_log_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sink
             tol, budget = cfg.tol, max(cfg.max_iter - total_iters, 1)
         else:
             tol, budget = max(cfg.tol, 1e-4), min(1000, cfg.max_iter)
-        lu, lv, residuals, it, stalled = _scaling_loop(lr, lc, lk, R, C, tol, budget, lu, lv)
+        lu, lv, residuals, it, stalled = _scaling_loop(lr, lc, lk, R, C, tol, budget,
+                                                       lu, lv, kernel)
         total_iters += it
         if not last:
             ratio = schedule[stage + 1] / lam_s
@@ -511,52 +528,6 @@ def _sinkhorn_log_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sink
     return values, out_lu, out_lv, out_er, out_ec, corrections, total_iters
 
 
-def _sinkhorn_plain(r: np.ndarray, c: np.ndarray, cost: GroundCost,
-                    cfg: SinkhornConfig) -> tuple[float, np.ndarray, np.ndarray, int]:
-    k = np.exp(-cfg.lam * cost.axis_cost)
-    u = np.ones_like(r)
-    v = np.ones_like(c)
-    residual = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        kv = _kernel_apply(k, v)
-        if np.any((kv == 0.0) & (r > 0.0)):
-            raise UnderflowDetected(
-                f"kernel application underflowed at lam={cfg.lam:g}; "
-                "retry with log_domain=True"
-            )
-        u = np.divide(r, kv, out=np.zeros_like(r), where=kv > 0.0)
-        ku = _kernel_apply(k, u)
-        if np.any((ku == 0.0) & (c > 0.0)):
-            raise UnderflowDetected(
-                f"kernel application underflowed at lam={cfg.lam:g}; "
-                "retry with log_domain=True"
-            )
-        v = np.divide(c, ku, out=np.zeros_like(c), where=ku > 0.0)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise UnderflowDetected(
-                f"scaling vectors overflowed at lam={cfg.lam:g}; "
-                "retry with log_domain=True"
-            )
-        if it % _CHECK_EVERY == 0 or it == cfg.max_iter:
-            residual = float(np.max(np.abs(u * _kernel_apply(k, v) - r)))
-            if residual < cfg.tol:
-                break
-    if residual >= cfg.tol:
-        raise ConvergenceFailure(
-            f"sinkhorn residual {residual:.3e} >= tol {cfg.tol:.1e} "
-            f"after {cfg.max_iter} iterations (lam={cfg.lam:g})",
-            residual=residual,
-            value=_plan_value_plain(cost.axis_cost, k, u, v),
-        )
-    lk = -cfg.lam * cost.axis_cost
-    lu, lv, err_r, err_c = _round_to_polytope(
-        lk, _safe_log(r), _safe_log(c), r, c, _safe_log(u), _safe_log(v)
-    )
-    value = float(_plan_value_log(cost.axis_cost, lk, lu, lv))
-    extra, corr = _close_deficit(err_r, err_c, cost.m)
-    return value + extra, lu, lv, err_r, err_c, corr, it
-
-
 def _check_pair(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost):
     if r.m != c.m:
         raise InvalidData(f"histogram resolutions differ: {r.m} vs {c.m}")
@@ -572,18 +543,15 @@ def sinkhorn_distance(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
     the entropic plan is feasible for the unregularized problem.
     """
     _check_pair(r, c, cost)
-    if cfg.log_domain:
-        values, lu, lv, er, ec, corrs, iters = _sinkhorn_log_many(
-            r.mass[None, :, :], c.mass[None, :, :], cost, cfg
-        )
-        plan = TransportPlan(cost.m, cfg.lam, lu[0], lv[0], er[0], ec[0], corrs[0])
-        return float(values[0]), plan, iters
-    value, lu, lv, er, ec, corr, iters = _sinkhorn_plain(r.mass, c.mass, cost, cfg)
-    return value, TransportPlan(cost.m, cfg.lam, lu, lv, er, ec, corr), iters
+    values, lu, lv, er, ec, corrs, iters = _sinkhorn_many(
+        r.mass[None, :, :], c.mass[None, :, :], cost, cfg
+    )
+    plan = TransportPlan(cost.m, cfg.lam, lu[0], lv[0], er[0], ec[0], corrs[0])
+    return float(values[0]), plan, iters
 
 
 def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:
-    """Dual-Sinkhorn values for aligned lists of histograms (log domain only).
+    """Dual-Sinkhorn values for aligned lists of histograms.
 
     Takes any number of problems and hands them to the engine in chunks of
     _BATCH_CHUNK. Each value is a pure function of its own pair, so neither
@@ -599,7 +567,7 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
         R = np.stack([h.mass for h in rs[start:start + _BATCH_CHUNK]])
         C = np.stack([h.mass for h in cs[start:start + _BATCH_CHUNK]])
         try:
-            values.append(_sinkhorn_log_many(R, C, cost, cfg)[0])
+            values.append(_sinkhorn_many(R, C, cost, cfg)[0])
         except ConvergenceFailure as exc:
             if exc.pair is not None:  # a closure-LP failure names no problem
                 exc.pair = tuple(start + b for b in exc.pair)

@@ -250,6 +250,28 @@ class TestBatchedValues:
             assert np.array_equal(batched, swapped)
             assert np.array_equal(batched, single)
 
+    def test_batched_entry_points_honour_plain_domain(self, rng):
+        m = 12
+        a = point_mass(m, 0, 0)
+        b = point_mass(m, m - 1, m - 1)
+        cfg = SinkhornConfig(lam=50000.0, log_domain=False)
+        with pytest.raises(UnderflowDetected):
+            sinkhorn_values_batch([a, b], [b, a], GroundCost(m), cfg)
+        with pytest.raises(UnderflowDetected):
+            pairwise_distance_matrix([a, b], GroundCost(m), cfg)
+
+        m = 6
+        cost = GroundCost(m)
+        cfg = SinkhornConfig(lam=100.0, tol=1e-8, log_domain=False)
+        pool = ([random_histogram(rng, m, concentration=2.0) for _ in range(3)]
+                + [random_sample_copula(rng, m, T=30) for _ in range(2)])
+        rs = [pool[i] for i in range(len(pool)) for j in range(len(pool))]
+        cs = [pool[j] for i in range(len(pool)) for j in range(len(pool))]
+        batched = sinkhorn_values_batch(rs, cs, cost, cfg)
+        single = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in zip(rs, cs)]
+        assert np.array_equal(batched, single)
+        assert np.array_equal(batched, sinkhorn_values_batch(cs, rs, cost, cfg))
+
     def test_lex_swap_mask_matches_loop(self, rng):
         R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
         C = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
@@ -331,6 +353,32 @@ class TestDeficitClosure:
         assert np.abs(plan.sum(axis=0) - s * b).max() <= 1e-15 * s
         assert cost == np.sum(plan * sub)
         assert cost >= value * s
+
+    def test_lp_closed_plans_have_exact_marginals_in_both_orders(self, rng):
+        # A plan solved in the swapped orientation stores its LP closure
+        # transposed; marginals() and dense() must still describe the
+        # caller's direction, in either domain.
+        m = 8
+        cost = GroundCost(m)
+        pairs = [(random_sample_copula(rng, m, T=64), random_sample_copula(rng, m, T=64))
+                 for _ in range(8)]
+        for log_domain in (True, False):
+            cfg = SinkhornConfig(lam=default_lambda(m), log_domain=log_domain)
+            closed = {False: 0, True: 0}
+            for a, b in pairs:
+                for r, c in ((a, b), (b, a)):
+                    value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
+                    if plan.correction is None:
+                        continue
+                    closed[bool(_lex_swap_mask(r.mass[None], c.mass[None])[0])] += 1
+                    row, col = plan.marginals()
+                    assert np.abs(row - r.mass).max() < 1e-11
+                    assert np.abs(col - c.mass).max() < 1e-11
+                    dense = plan.dense()
+                    assert np.abs(dense.sum(axis=1) - r.mass.ravel()).max() < 1e-11
+                    assert np.abs(dense.sum(axis=0) - c.mass.ravel()).max() < 1e-11
+                    assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
+            assert closed[False] > 0 and closed[True] > 0
 
     def test_lp_failure_reaches_batched_callers(self, rng, monkeypatch):
         # A failed closure LP names no problem: batched callers must pass the
