@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# centroid_report is imported only because perfbench/tracer.py patches this name.
 from .clustering import centroid_report, cluster_copulas
 from .copula import empirical_copula_from_data
 from .dependence import TFDCSpec, tfdc
@@ -138,7 +139,7 @@ def cmd_cluster(args) -> None:
     hists = _pair_copulas(table, args.m)
     model = cluster_copulas(hists, args.k, GroundCost(args.m), _sinkhorn_config(args),
                             seed=args.seed, max_rounds=args.max_rounds)
-    for cid, _, centroid, _ in centroid_report(model):
+    for cid, centroid in enumerate(model.centroids):
         write_cop(centroid, out / f"centroid_{cid}.cop")
         write_heatmap(centroid, out / f"centroid_{cid}.pgm")
     rows = [
