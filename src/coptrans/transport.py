@@ -401,13 +401,13 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     residuals = np.full(B, np.inf)
     it = 0
     for it in range(1, max_iter + 1):
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(invalid="ignore"):
             step = lr - kernel(lk, lv)
             lu = np.where(sup_r, (1.0 - theta) * lu + theta * step, neg_inf)
             step = lc - kernel(lk, lu)
             lv = np.where(sup_c, (1.0 - theta) * lv + theta * step, neg_inf)
         if it % _CHECK_EVERY == 0 or it == max_iter:
-            with np.errstate(invalid="ignore", over="ignore"):
+            with np.errstate(invalid="ignore"):
                 row = np.exp(lu + kernel(lk, lv))
                 col = np.exp(lv + kernel(lk, lu))
                 res = np.maximum(
