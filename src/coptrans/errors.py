@@ -22,7 +22,8 @@ class InfeasibleProjection(CoptransError):
 
 
 class ConvergenceFailure(CoptransError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
+    """An iterative solver did not reach its tolerance: it hit its iteration
+    cap, or (as the subclass UnderflowDetected) left float64 range.
 
     Carries the last marginal residual and the last objective value where one
     is available. From a batched transport solve, `pair` names the problems
@@ -39,7 +40,7 @@ class ConvergenceFailure(CoptransError):
         self.pair = pair
 
 
-class UnderflowDetected(CoptransError):
+class UnderflowDetected(ConvergenceFailure):
     """Plain-domain Sinkhorn scaling underflowed; retry with log_domain=True."""
 
 

@@ -45,7 +45,7 @@ __all__ = [
 
 _CHECK_EVERY = 10   # marginal residual is evaluated every this many iterations
 _SOR_THETA = 1.7    # over-relaxation factor for the scaling updates (in (1, 2))
-_BATCH_CHUNK = 64   # problems per engine call; bounds _plan_value_log's (B, m, m, m) temporaries
+_BATCH_CHUNK = 64   # problems per engine call; bounds its (B, m, m) state, else sized by the batch
 
 
 def default_lambda(m: int) -> float:
@@ -214,8 +214,13 @@ def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """out[..., p, q] = LSE_{p', q'} (lk[p, p'] + lk[q, q'] + lw[..., p', q']).
+def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray,
+                      lk_first: np.ndarray | None = None) -> np.ndarray:
+    """out[..., p, q] = LSE_{p', q'} (lk1[p, p'] + lk[q, q'] + lw[..., p', q']).
+
+    lk1 is lk_first when given, else lk; both must be symmetric and <= 0.
+    A separate first-axis kernel lets `_plan_value_log` weight one axis of
+    the kernel by its cost.
 
     The separable kernel is applied as two shifted matmuls, one per grid
     axis; the second runs on the swapped axes. Each shifts every row of
@@ -231,7 +236,8 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     every slice on the same BLAS call whatever layout the caller passes.
     """
     inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
-    outer = _lse_contract(lk, np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
+    outer = _lse_contract(lk if lk_first is None else lk_first,
+                          np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
     return np.ascontiguousarray(np.swapaxes(outer, -1, -2))
 
 
@@ -250,15 +256,24 @@ def _plain_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
 
 def _plan_value_log(axis_cost: np.ndarray, lk: np.ndarray,
                     lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    # <P, M> via the two pair-axis marginals of the plan; entries of the
-    # exponentiated contractions are plan masses, so exp is overflow-safe.
-    b1 = _lse(lu[..., :, :, None] + lk[None, :, :], axis=-2)   # (..., p, q')
-    t1 = _lse(b1[..., :, None, :] + lv[..., None, :, :], axis=-1)  # (..., p, p')
-    s1 = np.sum(axis_cost * np.exp(lk + t1), axis=(-2, -1))
-    b2 = _lse(lu[..., :, :, None] + lk[:, None, :], axis=-3)   # (..., q, p')
-    t2 = _lse(b2[..., :, :, None] + lv[..., None, :, :], axis=-2)  # (..., q, q')
-    s2 = np.sum(axis_cost * np.exp(lk + t2), axis=(-2, -1))
-    return s1 + s2
+    """<P, M> for P = diag(u) K diag(v) and the cost M = C1 (+) C1.
+
+    With K = K1 (x) K1, M's separable form gives <P, M> as the sum over cells
+    of u * [((K1 * C1) (x) K1 + K1 (x) (K1 * C1)) v]: two kernel
+    applications, each with the cost-weighted log kernel lk + log(C1) on
+    one axis. Their exponentiated entries are cost-weighted plan masses, so
+    exp is overflow-safe. P is unchanged by (u / c, v * c), and the scaling
+    iterations let the potentials drift far apart in that gauge; giving both
+    the same maximum keeps the exponents, and so their rounding, small.
+    """
+    with np.errstate(divide="ignore"):
+        lkc = lk + np.log(axis_cost)  # -inf on the zero-cost diagonal
+    shift = 0.5 * (np.max(lu, axis=(-2, -1), keepdims=True)
+                   - np.max(lv, axis=(-2, -1), keepdims=True))
+    lu, lv = lu - shift, lv + shift
+    weighted = (np.exp(lu + _log_kernel_apply(lk, lv, lk_first=lkc))
+                + np.exp(lu + _log_kernel_apply(lkc, lv, lk_first=lk)))
+    return np.sum(weighted, axis=(-2, -1))
 
 
 def _safe_log(a: np.ndarray) -> np.ndarray:
@@ -279,11 +294,12 @@ def _round_to_polytope(lk, lr, lc, R, C, lu, lv):
         row = np.exp(lu + _log_kernel_apply(lk, lv))
         lu = lu + np.minimum(lr - _safe_log(row), 0.0)
         lu = np.where(np.isnan(lu), -np.inf, lu)
-        col = np.exp(lv + _log_kernel_apply(lk, lu))
+        klu = _log_kernel_apply(lk, lu)
+        col = np.exp(lv + klu)
         lv = lv + np.minimum(lc - _safe_log(col), 0.0)
         lv = np.where(np.isnan(lv), -np.inf, lv)
     err_r = np.clip(R - np.exp(lu + _log_kernel_apply(lk, lv)), 0.0, None)
-    err_c = np.clip(C - np.exp(lv + _log_kernel_apply(lk, lu)), 0.0, None)
+    err_c = np.clip(C - np.exp(lv + klu), 0.0, None)
     return lu, lv, err_r, err_c
 
 
@@ -372,7 +388,8 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     mass keep their potentials pinned at -inf, outside the relaxation
     combination. `kernel` is `_log_kernel_apply` or `_plain_kernel_apply`;
     both map log-weights to log-weights. A residual that is not finite means
-    the plain kernel left float64 range and raises UnderflowDetected.
+    the plain kernel left float64 range and raises UnderflowDetected, whose
+    `.pair` holds the batch positions of those problems.
 
     The updates are elementwise-independent across the batch, and every
     problem freezes its potentials the moment its own stopping rule fires,
@@ -416,7 +433,8 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
                 )
             if not np.all(np.isfinite(res)):
                 raise UnderflowDetected(f"marginal residual not finite at iteration {it}; "
-                                        "retry with log_domain=True")
+                                        "retry with log_domain=True",
+                                        pair=tuple(int(b) for b in active[~np.isfinite(res)]))
             converged = res < tol
             no_gain = ~converged & (res > 0.9 * best)
             improving = ~converged & ~no_gain

@@ -191,6 +191,22 @@ class TestSinkhornDistance:
         assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
         assert abs(dense.sum() - 1.0) < 1e-9
 
+    def test_plan_value_consistent_with_dense_where_kernel_underflows(self, rng):
+        # At m=12 and the default sharpness the kernel's tails underflow, so
+        # the plan value runs through the exact fallback of the contraction.
+        m = 12
+        cost = GroundCost(m)
+        cfg = SinkhornConfig(lam=default_lambda(m))
+        pool = [point_mass(m, 0, 0), point_mass(m, 11, 4), point_mass(m, 5, 6),
+                random_sample_copula(rng, m, T=60), random_sample_copula(rng, m, T=60),
+                random_histogram(rng, m), random_histogram(rng, m)]
+        for i, a in enumerate(pool):
+            for b in pool[i + 1:]:
+                for r, c in ((a, b), (b, a)):
+                    value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
+                    dense = float(np.sum(plan.dense() * cost.matrix))
+                    assert abs(value - dense) <= 1e-11 * dense
+
     def test_plain_path_matches_log_path(self, rng):
         m = 6
         a = random_histogram(rng, m, concentration=2.0)
@@ -271,6 +287,28 @@ class TestBatchedValues:
         single = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in zip(rs, cs)]
         assert np.array_equal(batched, single)
         assert np.array_equal(batched, sinkhorn_values_batch(cs, rs, cost, cfg))
+
+    def test_underflow_names_failing_problems(self, rng):
+        m = 12
+        cost = GroundCost(m)
+        cfg = SinkhornConfig(lam=1000.0, log_domain=False)
+        corner_a, corner_b = point_mass(m, 0, 0), point_mass(m, m - 1, m - 1)
+        # a point mass against itself stays in float64 range at this
+        # sharpness, so only the corner pair at position 66 (in the second
+        # chunk) underflows
+        rs = [point_mass(m, 2, 3)] * 70
+        cs = list(rs)
+        rs[66], cs[66] = corner_a, corner_b
+        with pytest.raises(UnderflowDetected) as err:
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert isinstance(err.value, ConvergenceFailure)
+        assert err.value.pair == (66,)
+        with pytest.raises(UnderflowDetected) as err:
+            pairwise_distance_matrix([rs[0], corner_a, rs[0], corner_b, corner_a], cost, cfg)
+        assert err.value.pair == ((1, 3), (3, 4))
+        # random histograms stay in range against each other
+        a, b = random_histogram(rng, m), random_histogram(rng, m)
+        assert sinkhorn_values_batch([a, b], [b, a], cost, cfg).shape == (2,)
 
     def test_lex_swap_mask_matches_loop(self, rng):
         R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
