@@ -18,19 +18,7 @@ from . import __version__
 from .clustering import centroid_report, cluster_copulas
 from .copula import empirical_copula_from_data
 from .dependence import TFDCSpec, tfdc
-from .errors import (
-    AmbiguousSpec,
-    ConvergenceFailure,
-    CoptransError,
-    DegenerateColumn,
-    InfeasibleProjection,
-    InvalidData,
-    InvalidParameter,
-    IoError,
-    OracleTooLarge,
-    ParseError,
-    UnderflowDetected,
-)
+from .errors import ConvergenceFailure, CoptransError, InvalidData, IoError
 from .formats import (
     load_csv,
     read_cop,
@@ -49,15 +37,13 @@ from .transport import (
     sinkhorn_values_batch,
 )
 
-_CONFIG_ERRORS = (
-    ParseError, InvalidParameter, InvalidData, DegenerateColumn,
-    AmbiguousSpec, OracleTooLarge, InfeasibleProjection,
-)
-_CONVERGENCE_ERRORS = (ConvergenceFailure, UnderflowDetected)
+
+def _add_m_flag(p: argparse.ArgumentParser):
+    p.add_argument("--m", type=int, default=20, help="grid resolution (default 20)")
 
 
 def _add_transport_flags(p: argparse.ArgumentParser):
-    p.add_argument("--m", type=int, default=20, help="grid resolution (default 20)")
+    _add_m_flag(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="entropic sharpness (default 10*m^2)")
     p.add_argument("--tol", type=float, default=1e-4,
@@ -252,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("copula", help="write empirical copula .cop files for all pairs")
     p.add_argument("--input", type=Path, required=True)
-    _add_transport_flags(p)
+    _add_m_flag(p)
     _add_out_flag(p)
     p.set_defaults(func=cmd_copula)
 
@@ -325,16 +311,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _CONVERGENCE_ERRORS as exc:
+    except ConvergenceFailure as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except (IoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except CoptransError as exc:  # any stragglers are config-class errors
+    except CoptransError as exc:  # parse and config errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -8,6 +8,7 @@ atomically renamed, so failures never leave partial artifacts behind.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -146,15 +147,13 @@ def write_heatmap(c: CopulaHistogram, path):
 
 
 def write_csv_atomic(path, header: list[str], rows):
-    """Deterministic CSV writer; floats serialized via repr."""
-    def fmt(v):
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """Deterministic CSV writer; floats serialized via repr, cells holding
+    commas, quotes or line breaks quoted as `load_csv` reads them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write_text(path, buf.getvalue())
 
 
 def write_run_manifest(out_dir, command: str, params: dict, extra: dict | None = None):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -180,6 +181,37 @@ class TestCli:
         assert matrix[0, 1] >= 0.9           # x and y are strongly dependent
         assert matrix[0, 2] <= 0.3           # x and z are not
         assert np.allclose(matrix, matrix.T)
+
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = rng.uniform(size=(60, 3))
+        f = tmp_path / "data.csv"
+        write_lines(f, ['"a,b",c,"d""q"'] + [",".join(map(str, row)) for row in data.tolist()])
+        names = ["a,b", "c", 'd"q']
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 6)), refs / "up.cop")
+        write_cop(reference_copula(TargetBuilderSpec("independence", 6)), refs / "pi.cop")
+        assert main(["dist", "--input", str(f), "--m", "6", "--out", str(tmp_path / "d")]) == 0
+        assert main(["tfdc", "--input", str(f), "--m", "6", "--targets", str(refs / "up.cop"),
+                     "--forgets", str(refs / "pi.cop"), "--out", str(tmp_path / "t")]) == 0
+        expected = {
+            tmp_path / "d" / "distance-matrix.csv":
+                ["pair", "a,b|c", 'a,b|d"q', 'c|d"q'],
+            tmp_path / "t" / "tfdc-matrix.csv": ["variable"] + names,
+        }
+        for path, header in expected.items():
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == header
+            assert [row[0] for row in rows[1:]] == header[1:]
+            assert all(len(row) == len(header) for row in rows)
+
+    def test_copula_rejects_transport_flags(self, dataset, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["copula", "--input", str(dataset), "--tol", "1e-3",
+                  "--out", str(tmp_path / "o")])
+        assert err.value.code == 2
 
     def test_cluster_outputs(self, dataset, tmp_path):
         out = tmp_path / "cl"
