@@ -45,7 +45,7 @@ __all__ = [
 
 _CHECK_EVERY = 10   # marginal residual is evaluated every this many iterations
 _SOR_THETA = 1.7    # over-relaxation factor for the scaling updates (in (1, 2))
-_BATCH_CHUNK = 64   # problems per engine call; bounds its (B, m, m) state, else sized by the batch
+_BATCH_CHUNK = 64   # problems per engine call; caps its (B, m, m) state whatever the batch size
 
 
 def default_lambda(m: int) -> float:
