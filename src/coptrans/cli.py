@@ -76,13 +76,9 @@ def _pair_copulas(table, m):
     ]
 
 
-def _manifest_params(args, skip=("func",)):
-    params = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        params[key] = str(value) if isinstance(value, Path) else value
-    return params
+def _manifest_params(args):
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in sorted(vars(args).items()) if key != "func"}
 
 
 def _prepare_out(args) -> Path:

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 from .errors import (
     ConvergenceFailure,
@@ -180,11 +179,22 @@ class TargetBuilderSpec:
 
 
 def rank_transform(column) -> RankColumn:
-    """Normalized rank transform: u[t] = rank(x[t]) / T, average ranks on ties."""
+    """Normalized rank transform: u[t] = rank(x[t]) / T, average ranks on ties.
+
+    Ties are runs of equal values in a stable sort (-0.0 ties 0.0). Each run
+    ranks at the mean of its first and last 1-based positions, an exact
+    half-integer, so dividing by T is the only rounding.
+    """
     arr = _as_finite_vector(column, "column")
     if arr.min() == arr.max():
         raise DegenerateColumn("constant column has no rank structure")
-    return RankColumn(rankdata(arr, method="average") / arr.size)
+    order = np.argsort(arr, kind="stable")
+    s = arr[order]
+    starts = np.concatenate(([True], s[1:] != s[:-1]))
+    bounds = np.append(np.flatnonzero(starts), arr.size)  # run g: [bounds[g], bounds[g + 1])
+    ranks = np.empty(arr.size)
+    ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(starts) - 1]
+    return RankColumn(ranks / arr.size)
 
 
 def _bin_indices(u: np.ndarray, m: int) -> np.ndarray:

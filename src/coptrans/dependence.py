@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
-from scipy.stats import rankdata
 
-from .copula import CopulaHistogram
+from .copula import CopulaHistogram, rank_transform
 from .errors import AmbiguousSpec, DegenerateColumn, InvalidData
 from .transport import GroundCost, SinkhornConfig, sinkhorn_divergences, sinkhorn_values_batch
 
@@ -113,9 +112,7 @@ def pearson(x, y) -> float:
 def spearman(x, y) -> float:
     """Rank correlation: pearson on average-tie normalized ranks."""
     x, y = _finite_pair(x, y)
-    if x.min() == x.max() or y.min() == y.max():
-        raise DegenerateColumn("constant input has no rank correlation")
-    return pearson(rankdata(x, method="average"), rankdata(y, method="average"))
+    return pearson(rank_transform(x).u, rank_transform(y).u)
 
 
 def distance_correlation(x, y) -> float:
@@ -154,13 +151,10 @@ def rdc(x, y, k: int = 20, s: float = 1.0 / 6.0, seed: int = 0) -> float:
     x, y = _finite_pair(x, y)
     if x.size <= k:
         raise InvalidData(f"need more than k={k} observations, got {x.size}")
-    if x.min() == x.max() or y.min() == y.max():
-        raise DegenerateColumn("constant input")
-    n = x.size
     w = np.random.default_rng(seed).standard_normal((2, k))
 
     def features(v):
-        u = np.column_stack([rankdata(v, method="average") / n, np.ones(n)])
+        u = np.column_stack([rank_transform(v).u, np.ones(v.size)])
         proj = (s / 2.0) * u @ w
         return np.column_stack([np.cos(proj), np.sin(proj)])
 

@@ -51,9 +51,9 @@ _BATCH_CHUNK = 64   # problems per engine call; caps its (B, m, m) state whateve
 def default_lambda(m: int) -> float:
     """Default entropic sharpness: one grid step costs 1/m^2, so the kernel
     weight for a one-cell move is exp(-10) at this value. Sharp enough that
-    entropic values track the exact optimum to well under 1% on copula-scale
-    distances, soft enough that the scaling iterations converge in thousands
-    of iterations rather than hundreds of thousands."""
+    converged values track the exact optimum to well under 1% (SinkhornConfig's
+    default tol stops short of convergence), soft enough that the scaling
+    iterations converge in thousands of steps, not hundreds of thousands."""
     return 10.0 * m * m
 
 
@@ -93,13 +93,13 @@ class SinkhornConfig:
     lam is the sharpness of the dual form: the plan solves
     min <P, M> - h(P)/lam over the transportation polytope. Larger lam means
     closer to the exact optimum and slower convergence. tol is the iteration
-    target for the L-inf marginal violation; the 1e-4 default reflects how
-    scaling iterations behave at sharp lam, where marginals tighten at
-    roughly 1/iterations while the value is already accurate. A problem also
-    stops, as stalled, after 5 residual checks without a 10% gain; that
-    fires on slow convergence too, so its residual can stay above tol. The
-    polytope rounding restores exact plan marginals either way, so returned
-    values are always feasible-plan costs.
+    target for the L-inf marginal violation. The 1e-4 default stops short of
+    the entropic optimum: on 40 pairs of m=12 copulas at default lam, values
+    sat a median 11.9% above the exact optimum, against 0.08% run to
+    convergence. A problem also stops, as stalled, after 5 residual checks
+    without a 10% gain; that fires on slow convergence too, so its residual
+    can stay above tol. The polytope rounding restores exact plan marginals
+    either way, so returned values are always feasible-plan costs.
 
     log_domain=False runs the scaling iterations with the plain kernel
     log(K exp(w)) instead of the stabilised log-sum-exp one; when that
@@ -340,8 +340,6 @@ def _close_deficit(err_r: np.ndarray, err_c: np.ndarray, m: int):
     # the restored marginals.
     idx_r = np.flatnonzero(err_r.ravel() > 1e-9 * s_r)
     idx_c = np.flatnonzero(err_c.ravel() > 1e-9 * s_c)
-    if idx_r.size == 0 or idx_c.size == 0:
-        return 0.0, None
     if idx_r.size * idx_c.size > _CLOSURE_LP_LIMIT:
         return _rank_one_cost(GroundCost(m).axis_cost, err_r, err_c), None
     # Solve in unit-mass units: deficit totals can sit below the LP solver's
@@ -387,9 +385,12 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     relaxation factor is walked back toward plain updates. Cells with zero
     mass keep their potentials pinned at -inf, outside the relaxation
     combination. `kernel` is `_log_kernel_apply` or `_plain_kernel_apply`;
-    both map log-weights to log-weights. A residual that is not finite means
-    the plain kernel left float64 range and raises UnderflowDetected, whose
-    `.pair` holds the batch positions of those problems.
+    both map log-weights to log-weights. Each iteration applies it to the new
+    lu and the new lv, and the residual check and the next u half-step reuse
+    both, so a call makes 1 + 2 * iterations applications. A residual that
+    is not finite means the plain kernel left float64 range and raises
+    UnderflowDetected, whose `.pair` holds the batch positions of those
+    problems.
 
     The updates are elementwise-independent across the batch, and every
     problem freezes its potentials the moment its own stopping rule fires,
@@ -417,19 +418,18 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     out_lv = lv.copy()
     residuals = np.full(B, np.inf)
     it = 0
+    klv = kernel(lk, lv)
     for it in range(1, max_iter + 1):
         with np.errstate(invalid="ignore"):
-            step = lr - kernel(lk, lv)
-            lu = np.where(sup_r, (1.0 - theta) * lu + theta * step, neg_inf)
-            step = lc - kernel(lk, lu)
-            lv = np.where(sup_c, (1.0 - theta) * lv + theta * step, neg_inf)
+            lu = np.where(sup_r, (1.0 - theta) * lu + theta * (lr - klv), neg_inf)
+            klu = kernel(lk, lu)
+            lv = np.where(sup_c, (1.0 - theta) * lv + theta * (lc - klu), neg_inf)
+            klv = kernel(lk, lv)
         if it % _CHECK_EVERY == 0 or it == max_iter:
             with np.errstate(invalid="ignore"):
-                row = np.exp(lu + kernel(lk, lv))
-                col = np.exp(lv + kernel(lk, lu))
                 res = np.maximum(
-                    np.abs(row - R).max(axis=(-2, -1)),
-                    np.abs(col - C).max(axis=(-2, -1)),
+                    np.abs(np.exp(lu + klv) - R).max(axis=(-2, -1)),
+                    np.abs(np.exp(lv + klu) - C).max(axis=(-2, -1)),
                 )
             if not np.all(np.isfinite(res)):
                 raise UnderflowDetected(f"marginal residual not finite at iteration {it}; "
@@ -458,7 +458,7 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
                     break
                 active = active[keep]
                 lu, lv, lr, lc, R, C = lu[keep], lv[keep], lr[keep], lc[keep], R[keep], C[keep]
-                sup_r, sup_c, theta = sup_r[keep], sup_c[keep], theta[keep]
+                sup_r, sup_c, theta, klv = sup_r[keep], sup_c[keep], theta[keep], klv[keep]
                 best, stagnant, res = best[keep], stagnant[keep], res[keep]
             best = np.minimum(best, res)
     return out_lu, out_lv, residuals, it, stalled

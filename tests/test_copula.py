@@ -45,6 +45,29 @@ class TestRankTransform:
         with pytest.raises(DegenerateColumn):
             rank_transform([4.0, 4.0, 4.0])
 
+    def test_matches_scipy_rankdata_bitwise(self, rng):
+        # scipy's rankdata stays the reference here; the package ranks without it
+        from scipy.stats import rankdata
+
+        cases = [
+            np.array([2.0, 1.0]),
+            np.array([-0.0, 0.0, 1.0, -0.0, -1.0]),
+            rng.choice([-0.0, 0.0, 1.0], size=200),
+            rng.integers(0, 2, size=50).astype(float),
+            np.concatenate([np.full(150, 3.0), rng.standard_normal(150)]),
+            rng.standard_normal(100_000),
+            rng.integers(0, 1000, size=100_000).astype(float),
+        ]
+        for _ in range(100):
+            T = int(rng.integers(2, 3000))
+            x = rng.standard_normal(T)
+            cases += [x, np.round(x, 1), rng.integers(0, 7, size=T).astype(float)]
+        for x in cases:
+            if x.min() == x.max():
+                continue
+            expected = rankdata(x, method="average") / x.size
+            assert rank_transform(x).u.tobytes() == expected.tobytes()
+
 
 class TestEmpiricalCopula:
     def test_comonotonic_two_bins(self):

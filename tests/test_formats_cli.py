@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_histogram
+import coptrans
 from coptrans import (
     CopulaHistogram,
     ParseError,
@@ -274,3 +279,23 @@ class TestCli:
                      "--seed", "5", "--out", str(tmp_path / "cl")])
         assert code == 3
         assert "transport LP failed" in capsys.readouterr().err
+
+    def test_commands_do_not_import_scipy_stats(self, dataset, tmp_path):
+        # A fresh interpreter, since this one may have loaded scipy.stats already.
+        script = f"""
+import sys
+import coptrans
+from coptrans.cli import main
+assert "scipy.stats" not in sys.modules, "import coptrans"
+assert main(["dist", "--input", {str(dataset)!r}, "--m", "6",
+             "--out", {str(tmp_path / "dist")!r}]) == 0
+assert main(["power", "--patterns", "linear", "--noise-levels", "0",
+             "--coefficients", "spearman,rdc,tfdc", "--n-sims", "10",
+             "--sample-size", "60", "--seed", "3", "--m", "6", "--t-ref", "2000",
+             "--out", {str(tmp_path / "power")!r}]) == 0
+assert "scipy.stats" not in sys.modules, "dist and power"
+"""
+        src = str(Path(coptrans.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr

@@ -310,6 +310,27 @@ class TestBatchedValues:
         a, b = random_histogram(rng, m), random_histogram(rng, m)
         assert sinkhorn_values_batch([a, b], [b, a], cost, cfg).shape == (2,)
 
+    def test_scaling_loop_reuses_kernel_applications(self, rng):
+        # one application before the loop, then one per half-step; the
+        # residual checks apply the kernel no further
+        m = 6
+        cost = GroundCost(m)
+        R = np.stack([random_histogram(rng, m).mass for _ in range(4)])
+        C = np.stack([random_sample_copula(rng, m, T=30).mass for _ in range(4)])
+        calls = 0
+
+        def counting_kernel(lk, lw):
+            nonlocal calls
+            calls += 1
+            return _log_kernel_apply(lk, lw)
+
+        lr, lc = transport._safe_log(R), transport._safe_log(C)
+        lk = -default_lambda(m) * cost.axis_cost
+        *_, it, _ = transport._scaling_loop(lr, lc, lk, R, C, 1e-6, 500, np.zeros_like(R),
+                                            np.zeros_like(C), counting_kernel)
+        assert it > transport._CHECK_EVERY
+        assert calls == 1 + 2 * it
+
     def test_lex_swap_mask_matches_loop(self, rng):
         R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
         C = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
