@@ -8,9 +8,12 @@ kernel application is two m-by-m contractions instead of one m^2-by-m^2
 product. The iterations run in the log domain, and each contraction is a
 shifted matmul through BLAS: rows of log-weights are shifted by their max,
 exponentiated and multiplied by the exponentiated one-axis kernel, with an
-exact log-sum-exp only where the kernel's tails underflowed. A dense LP
-oracle over the support cells provides exact values for desk-scale
-instances.
+exact log-sum-exp only where the kernel's tails underflowed. Numbers below
+float64's normal range send numpy's exp and the BLAS kernels down slow
+paths, so the exponentiated kernel is computed once per kernel with its
+subnormal entries set to 0, and only the exact fallback clamps its
+exponents; neither changes a bit of the result. A dense LP oracle over the
+support cells provides exact values for desk-scale instances.
 """
 
 from __future__ import annotations
@@ -187,30 +190,61 @@ class TransportPlan:
         return plan
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    # Lean logsumexp: high call volume makes scipy's generality too costly here.
-    amax = np.max(a, axis=axis, keepdims=True)
-    amax_safe = np.where(np.isfinite(amax), amax, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - amax_safe), axis=axis))
-    return out + np.squeeze(amax_safe, axis=axis)
-
-
 _UNDERFLOW = 1e-250  # shifted products below this are recomputed exactly
+_TINY = np.finfo(float).tiny  # smallest normal float64; kernel entries below it are flushed
+_EXP_FLOOR = -700.0  # fallback exponents are clamped here, where exp is still normal
+_KERNEL_EXPS: list = []  # ((shape, bytes of lk), flushed exp(lk)), most recent first
+
+
+def _kernel_exp(lk: np.ndarray) -> np.ndarray:
+    """exp(lk) with its subnormal entries set to 0, computed once per kernel.
+
+    Memoised by the bytes of lk: the scaling loop applies one kernel
+    thousands of times, and comparing its bytes costs a tenth of the
+    exponential. The result is read-only, since every caller shares it.
+    """
+    key = (lk.shape, lk.tobytes())
+    for cached, ek in _KERNEL_EXPS:
+        if cached == key:
+            return ek
+    ek = np.exp(lk)
+    ek[ek < _TINY] = 0.0
+    ek.flags.writeable = False
+    _KERNEL_EXPS.insert(0, (key, ek))
+    # a solve alternates at most three kernels: a stage's, and lk and
+    # lk + log(axis_cost) in the plan value
+    del _KERNEL_EXPS[4:]
+    return ek
 
 
 def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     """out[..., i, q] = LSE_j (lw[..., i, j] + lk[j, q]) for a symmetric lk <= 0."""
-    s = np.max(lw, axis=-1, keepdims=True)
+    m = lw.shape[-1]
+    # numpy reduces along short rows slowly, so both maxima here reduce a
+    # transposed copy; a max has the same bits in any order
+    s = np.ascontiguousarray(lw.reshape(-1, m).T).max(axis=0).reshape(*lw.shape[:-1], 1)
     finite = np.isfinite(s)
     s = np.where(finite, s, 0.0)
-    prod = np.exp(lw - s) @ np.exp(lk)
-    with np.errstate(divide="ignore"):
-        out = np.log(prod) + s
+    prod = np.exp(lw - s) @ _kernel_exp(lk)
+    low = prod < _UNDERFLOW
+    out = np.log(prod, out=prod)
+    out += s
+    if not low.any():
+        return out
     # an all -inf row already gives -inf and needs no recomputation
-    redo = np.nonzero((prod < _UNDERFLOW) & finite)
-    if redo[0].size:
-        out[redo] = _lse(lw[redo[:-1]] + lk[redo[-1]], axis=-1)
+    redo = np.flatnonzero(low & finite)
+    a = lw.reshape(-1, m)[redo // m]
+    a += lk[redo % m]
+    terms = np.ascontiguousarray(a.T)
+    amax = terms.max(axis=0)
+    terms -= amax
+    # Every sum holds exp(0) = 1, so clamped terms (below 1e-304) are lost
+    # to rounding as the exact ones would be. fmax maps the NaN of an all
+    # -inf row (-inf - -inf) to the floor, and amax keeps that row -inf.
+    np.fmax(terms, _EXP_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    # the sum runs along rows, in the order numpy has always summed them
+    out.reshape(-1)[redo] = np.log(np.ascontiguousarray(terms.T).sum(axis=-1)) + amax
     return out
 
 
@@ -234,10 +268,22 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray,
     grid steps on). The matmuls run slice by slice over the batch, so each
     slice's bits never depend on its batch mates; contiguous operands keep
     every slice on the same BLAS call whatever layout the caller passes.
+
+    Numbers below float64's normal range take slow paths in both numpy's
+    exp and the BLAS kernels: a subnormal kernel entry made the matmul 7x
+    slower at m=24, and a subnormal exp result costs 70x a normal one. So
+    exp(lk) is computed once per kernel (see `_kernel_exp`) with its
+    subnormal entries set to 0. That is exact by the same argument: each
+    dropped term is below 2.2e-308, and products under 1e-250 are redone
+    from lk itself. The fallback clamps its shifted exponents at -700, which
+    is exact because each of its sums holds a term equal to 1. The main path
+    is not clamped: that would turn exact zero weights into about 1e-304,
+    whose products with the kernel are subnormal again.
     """
-    inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
-    outer = _lse_contract(lk if lk_first is None else lk_first,
-                          np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
+        outer = _lse_contract(lk if lk_first is None else lk_first,
+                              np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
     return np.ascontiguousarray(np.swapaxes(outer, -1, -2))
 
 
@@ -377,6 +423,9 @@ def _anneal_schedule(lam: float, m: int) -> list[float]:
     return schedule[::-1]
 
 
+# -inf potentials outside the support make NaN in the relaxation combination,
+# which np.where masks back to -inf at once
+@np.errstate(invalid="ignore")
 def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     """Over-relaxed scaling updates with per-problem stopping.
 
@@ -420,17 +469,15 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     it = 0
     klv = kernel(lk, lv)
     for it in range(1, max_iter + 1):
-        with np.errstate(invalid="ignore"):
-            lu = np.where(sup_r, (1.0 - theta) * lu + theta * (lr - klv), neg_inf)
-            klu = kernel(lk, lu)
-            lv = np.where(sup_c, (1.0 - theta) * lv + theta * (lc - klu), neg_inf)
-            klv = kernel(lk, lv)
+        lu = np.where(sup_r, (1.0 - theta) * lu + theta * (lr - klv), neg_inf)
+        klu = kernel(lk, lu)
+        lv = np.where(sup_c, (1.0 - theta) * lv + theta * (lc - klu), neg_inf)
+        klv = kernel(lk, lv)
         if it % _CHECK_EVERY == 0 or it == max_iter:
-            with np.errstate(invalid="ignore"):
-                res = np.maximum(
-                    np.abs(np.exp(lu + klv) - R).max(axis=(-2, -1)),
-                    np.abs(np.exp(lv + klu) - C).max(axis=(-2, -1)),
-                )
+            res = np.maximum(
+                np.abs(np.exp(lu + klv) - R).max(axis=(-2, -1)),
+                np.abs(np.exp(lv + klu) - C).max(axis=(-2, -1)),
+            )
             if not np.all(np.isfinite(res)):
                 raise UnderflowDetected(f"marginal residual not finite at iteration {it}; "
                                         "retry with log_domain=True",
@@ -693,15 +740,17 @@ def _transport_lp(sub_cost: np.ndarray, r_sup: np.ndarray, c_sup: np.ndarray,
     marginal entries approach 1e-10, where presolve reads them as zero.
     """
     n_r, n_c = sub_cost.shape
-    rows_i = np.repeat(np.arange(n_r), n_c)
-    cols_i = np.tile(np.arange(n_c), n_r)
-    var = np.arange(n_r * n_c)
-    a_rows = sparse.coo_matrix((np.ones(var.size), (rows_i, var)), shape=(n_r, var.size))
-    keep = cols_i < n_c - 1
-    a_cols = sparse.coo_matrix(
-        (np.ones(int(keep.sum())), (cols_i[keep], var[keep])), shape=(n_c - 1, var.size)
-    )
-    a_eq = sparse.vstack([a_rows, a_cols]).tocsr()
+    # Built directly in CSC, the layout HiGHS takes: the column of plan entry
+    # (i, j), variable i * n_c + j, holds a 1 in row-sum row i and, unless j
+    # is the dropped last column, a 1 in column-sum row n_r + j.
+    i, j = np.divmod(np.arange(n_r * n_c), n_c)
+    has_col = j < n_c - 1
+    indptr = np.concatenate([[0], np.cumsum(1 + has_col)])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    indices[indptr[:-1]] = i
+    indices[indptr[:-1][has_col] + 1] = n_r + j[has_col]
+    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr),
+                            shape=(n_r + n_c - 1, n_r * n_c))
     b_eq = np.concatenate([r_sup, c_sup[:-1]])
     # Presolve is off for the deficit closure: on supports whose normalized
     # masses fall to about 1e-9 it declared such feasible LPs infeasible.

@@ -56,6 +56,38 @@ def dual_potentials(plan, int_cost):
     return None
 
 
+def reference_log_kernel_apply(lk, lw, lk_first=None):
+    """The separable log-kernel application as the solver first wrote it.
+
+    exp(lk) on every contraction, no flushing of subnormal kernel entries and
+    an unclamped exact log-sum-exp where the shifted product underflowed.
+    The package's faster version must return the same bits.
+    """
+    def lse(a):
+        amax = np.max(a, axis=-1, keepdims=True)
+        amax_safe = np.where(np.isfinite(amax), amax, 0.0)
+        with np.errstate(divide="ignore"):
+            out = np.log(np.sum(np.exp(a - amax_safe), axis=-1))
+        return out + np.squeeze(amax_safe, axis=-1)
+
+    def contract(lk, lw):
+        s = np.max(lw, axis=-1, keepdims=True)
+        finite = np.isfinite(s)
+        s = np.where(finite, s, 0.0)
+        prod = np.exp(lw - s) @ np.exp(lk)
+        with np.errstate(divide="ignore"):
+            out = np.log(prod) + s
+        redo = np.nonzero((prod < 1e-250) & finite)
+        if redo[0].size:
+            out[redo] = lse(lw[redo[:-1]] + lk[redo[-1]])
+        return out
+
+    inner = contract(lk, np.ascontiguousarray(lw))
+    outer = contract(lk if lk_first is None else lk_first,
+                     np.ascontiguousarray(np.swapaxes(inner, -1, -2)))
+    return np.ascontiguousarray(np.swapaxes(outer, -1, -2))
+
+
 def w2_squared_1d(pos_r, w_r, pos_c, w_c):
     """Exact 1-D squared-W2 by quantile matching over merged CDF breakpoints."""
     cr = np.cumsum(w_r)
@@ -136,6 +168,42 @@ class TestGroundCost:
         for b in range(len(lws)):
             assert np.array_equal(out[b], _log_kernel_apply(lk, lws[b]))
             assert np.array_equal(out[b:b + 1], _log_kernel_apply(lk, lws[b:b + 1]))
+
+    def test_log_kernel_apply_matches_reference_bitwise(self, rng):
+        def weights(m):
+            lws = np.log(rng.gamma(0.5, size=(8, m, m)))
+            lws[1][rng.uniform(size=(m, m)) < 0.4] = -np.inf   # empty cells
+            lws[2, 3, :] = -np.inf                             # an empty row
+            lws[2, :, m - 2] = -np.inf                         # an empty column
+            lws[3] = -np.inf                                   # an empty slice
+            lws[4] = -np.inf                                   # a corner point mass
+            lws[4, 0, 0] = 0.0
+            lws[5] = rng.uniform(size=(m, m))                  # each row's mass in one cell,
+            lws[5, :, 0] = 720.0                               # the rest far below it
+            lws[6] = -40.0 * rng.uniform(size=(m, m))
+            lws[6, :, :m // 2] = -np.inf                       # half the grid empty
+            return lws
+
+        cases = []
+        m = 24
+        # the anneal's middle stage at m=24: exp(lk) is subnormal 17 steps out
+        lk = -2.5 * m * m * GroundCost(m).axis_cost
+        assert np.any((np.exp(lk) > 0.0) & (np.exp(lk) < np.finfo(float).tiny))
+        cases.append((lk, weights(m)))
+        for m in (10, 12, 24):
+            cases.append((-default_lambda(m) * GroundCost(m).axis_cost, weights(m)))
+        deep = False
+        for lk, lws in cases:
+            m = lk.shape[0]
+            with np.errstate(divide="ignore"):
+                lkc = lk + np.log(GroundCost(m).axis_cost)  # -inf on the diagonal
+            for lk1, lk2 in ((lk, None), (lkc, lk), (lk, lkc)):
+                expected = reference_log_kernel_apply(lk1, lws, lk2)
+                assert np.array_equal(_log_kernel_apply(lk1, lws, lk2), expected)
+                for b in range(len(lws)):
+                    assert np.array_equal(_log_kernel_apply(lk1, lws[b], lk2), expected[b])
+                deep |= bool(np.any(np.isfinite(expected) & (expected < np.log(1e-250))))
+        assert deep  # the exact fallback ran
 
 
 class TestSinkhornDistance:
@@ -246,7 +314,9 @@ class TestBatchedValues:
         # m=4: 78 problems, so the batch crosses the 64-problem chunk
         # boundary. m=12: problems freeze at different iterations, so the
         # batch shrinks as it runs, and the point masses drive the kernel's
-        # underflow fallback.
+        # underflow fallback. m=24: the anneal passes lam=1440, where the
+        # kernel's subnormal entries are flushed, and corner point masses
+        # drive the fallback there.
         pools = {
             4: ([random_histogram(rng, 4) for _ in range(6)]
                 + [random_sample_copula(rng, 4, T=24) for _ in range(4)]
@@ -254,6 +324,8 @@ class TestBatchedValues:
             12: ([random_histogram(rng, 12) for _ in range(2)]
                  + [random_sample_copula(rng, 12, T=60) for _ in range(3)]
                  + [point_mass(12, 0, 0), point_mass(12, 7, 10)]),
+            24: ([random_sample_copula(rng, 24, T=200) for _ in range(2)]
+                 + [point_mass(24, 0, 0), point_mass(24, 23, 23), point_mass(24, 0, 23)]),
         }
         for m, pool in pools.items():
             cost = GroundCost(m)
