@@ -270,15 +270,16 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray,
     every slice on the same BLAS call whatever layout the caller passes.
 
     Numbers below float64's normal range take slow paths in both numpy's
-    exp and the BLAS kernels: a subnormal kernel entry made the matmul 7x
-    slower at m=24, and a subnormal exp result costs 70x a normal one. So
-    exp(lk) is computed once per kernel (see `_kernel_exp`) with its
-    subnormal entries set to 0. That is exact by the same argument: each
-    dropped term is below 2.2e-308, and products under 1e-250 are redone
-    from lk itself. The fallback clamps its shifted exponents at -700, which
-    is exact because each of its sums holds a term equal to 1. The main path
-    is not clamped: that would turn exact zero weights into about 1e-304,
-    whose products with the kernel are subnormal again.
+    exp and the BLAS kernels: subnormal kernel entries made a 6-problem
+    matmul at m=24 7 to 20 times slower, and a subnormal exp result costs
+    about 100 times a normal one. So exp(lk) is computed once per kernel
+    (see `_kernel_exp`) with its subnormal entries set to 0. That is exact
+    by the same argument: each dropped term is below 2.2e-308, and products
+    under 1e-250 are redone from lk itself. The fallback clamps its shifted
+    exponents at -700, which is exact because each of its sums holds a term
+    equal to 1. The main path is not clamped: that would turn exact zero
+    weights into about 1e-304, whose products with the kernel are subnormal
+    again.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
