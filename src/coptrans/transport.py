@@ -243,7 +243,8 @@ def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     # -inf row (-inf - -inf) to the floor, and amax keeps that row -inf.
     np.fmax(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
-    # the sum runs along rows, in the order numpy has always summed them
+    # the sum must run along contiguous rows: numpy sums those pairwise, and
+    # the bits depend on that order
     out.reshape(-1)[redo] = np.log(np.ascontiguousarray(terms.T).sum(axis=-1)) + amax
     return out
 
