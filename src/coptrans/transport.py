@@ -13,7 +13,10 @@ float64's normal range send numpy's exp and the BLAS kernels down slow
 paths, so the exponentiated kernel is computed once per kernel with its
 subnormal entries set to 0, and only the exact fallback clamps its
 exponents; neither changes a bit of the result. A dense LP oracle over the
-support cells provides exact values for desk-scale instances.
+support cells provides exact values for desk-scale instances. It and the
+small LP that closes each rounding deficit call HiGHS directly through
+scipy's bundled binding rather than through linprog, whose wrapping took
+about half of each closure LP's time (see `_transport_lp`).
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 from scipy.special import logsumexp
 
 from .copula import CopulaHistogram
@@ -582,7 +584,11 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     values = _plan_value_log(cost.axis_cost, lk, lu, lv)
     corrections = []
     for b in range(R.shape[0]):
-        extra, corr = _close_deficit(err_r[b], err_c[b], cost.m)
+        try:
+            extra, corr = _close_deficit(err_r[b], err_c[b], cost.m)
+        except ConvergenceFailure as exc:
+            exc.pair = (b,)
+            raise
         values[b] += extra
         if swap[b, 0, 0] and corr is not None:
             corr = (corr[1], corr[0], corr[2].T)
@@ -636,8 +642,7 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
         try:
             values.append(_sinkhorn_many(R, C, cost, cfg)[0])
         except ConvergenceFailure as exc:
-            if exc.pair is not None:  # a closure-LP failure names no problem
-                exc.pair = tuple(start + b for b in exc.pair)
+            exc.pair = tuple(start + b for b in exc.pair)
             raise
     return np.concatenate(values)
 
@@ -682,8 +687,7 @@ def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig) -> np
     try:
         values = sinkhorn_values_batch([hists[i] for i in iu], [hists[j] for j in ju], cost, cfg)
     except ConvergenceFailure as exc:
-        if exc.pair is not None:
-            exc.pair = tuple((int(iu[b]), int(ju[b])) for b in exc.pair)
+        exc.pair = tuple((int(iu[b]), int(ju[b])) for b in exc.pair)
         raise
     out = np.zeros((n, n))
     out[iu, ju] = out[ju, iu] = values
@@ -732,6 +736,25 @@ def wasserstein_barycenter(hists, weights, cost: GroundCost,
     return CopulaHistogram(mu / mu.sum())
 
 
+def _lp_options(**values):
+    """HighsOptions as linprog(method="highs") sets them: dual simplex and no
+    output, plus `values`."""
+    options = _highs.HighsOptions()
+    options.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    for name, value in values.items():
+        setattr(options, name, value)
+    return options
+
+
+_LP_OPTIONS = {  # keyed by `tight`, with linprog's options for each
+    False: _lp_options(presolve="off"),
+    True: _lp_options(presolve="on", primal_feasibility_tolerance=1e-10,
+                      dual_feasibility_tolerance=1e-10),
+}
+
+
 def _transport_lp(sub_cost: np.ndarray, r_sup: np.ndarray, c_sup: np.ndarray,
                   tight: bool = True):
     """Solve min <P, sub_cost> over plans with the given support marginals.
@@ -740,37 +763,54 @@ def _transport_lp(sub_cost: np.ndarray, r_sup: np.ndarray, c_sup: np.ndarray,
     also absorbs float-level mismatch between sum(r_sup) and sum(c_sup). The
     tight tolerances serve the oracle; they must not be used on problems whose
     marginal entries approach 1e-10, where presolve reads them as zero.
+    Presolve is off for the loose LP, the deficit closure: on supports whose
+    normalized masses fall to about 1e-9 it declared such feasible LPs
+    infeasible.
+
+    The LP goes to HiGHS's dual simplex through scipy's bundled binding, with
+    the model and options linprog(method="highs") would pass, and only the
+    plan and its cost are read back. linprog's own wrapping (input cleaning,
+    a sparse round trip, option checks, and a Python loop over every column
+    for bound duals) took about half of each closure LP's time. The plans
+    and costs are bit for bit linprog's; TestDeficitClosure::
+    test_transport_lp_matches_linprog_bitwise pins that against linprog.
     """
     n_r, n_c = sub_cost.shape
+    n = n_r * n_c
     # Built directly in CSC, the layout HiGHS takes: the column of plan entry
     # (i, j), variable i * n_c + j, holds a 1 in row-sum row i and, unless j
     # is the dropped last column, a 1 in column-sum row n_r + j.
-    i, j = np.divmod(np.arange(n_r * n_c), n_c)
+    i, j = np.divmod(np.arange(n), n_c)
     has_col = j < n_c - 1
     indptr = np.concatenate([[0], np.cumsum(1 + has_col)])
     indices = np.empty(indptr[-1], dtype=np.intp)
     indices[indptr[:-1]] = i
     indices[indptr[:-1][has_col] + 1] = n_r + j[has_col]
-    a_eq = sparse.csc_array((np.ones(indices.size), indices, indptr),
-                            shape=(n_r + n_c - 1, n_r * n_c))
     b_eq = np.concatenate([r_sup, c_sup[:-1]])
-    # Presolve is off for the deficit closure: on supports whose normalized
-    # masses fall to about 1e-9 it declared such feasible LPs infeasible.
-    options = {
-        "primal_feasibility_tolerance": 1e-10,
-        "dual_feasibility_tolerance": 1e-10,
-    } if tight else {"presolve": False}
-    res = linprog(
-        sub_cost.ravel(),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-        options=options,
-    )
-    if not res.success:  # equal totals and no upper bounds: only a solver fault lands here
-        raise ConvergenceFailure(f"transport LP failed: {res.message}")
-    return float(res.fun), res.x.reshape(n_r, n_c)
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_r + n_c - 1
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    # the binding converts integer arrays element by element, twice as fast
+    # from lists
+    lp.a_matrix_.start_ = indptr.tolist()
+    lp.a_matrix_.index_ = indices.tolist()
+    lp.a_matrix_.value_ = np.ones(indices.size)
+    lp.col_cost_ = sub_cost.ravel()
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, _highs.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    highs = _highs._Highs()
+    highs.passOptions(_LP_OPTIONS[tight])
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    # equal totals and no upper bounds: only a solver fault or a negative
+    # mass lands here
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise ConvergenceFailure(f"transport LP failed: {highs.modelStatusToString(status)}")
+    plan = np.array(highs.getSolution().col_value).reshape(n_r, n_c)
+    return float(highs.getInfo().objective_function_value), plan
 
 
 def _support_cost(sup_r: np.ndarray, sup_c: np.ndarray, m: int) -> np.ndarray:

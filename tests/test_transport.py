@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from conftest import random_histogram, random_sample_copula
@@ -442,7 +443,71 @@ def tiny_mass_instance(seed, m=10):
     return sup_r, sup_c, masses[0], masses[1]
 
 
+def linprog_transport_lp(sub_cost, r_sup, c_sup, tight):
+    """`_transport_lp` through linprog, with the options it mirrors."""
+    n_r, n_c = sub_cost.shape
+    a_eq = np.zeros((n_r + n_c - 1, n_r, n_c))
+    for i in range(n_r):
+        a_eq[i, i, :] = 1.0
+    for j in range(n_c - 1):
+        a_eq[n_r + j, :, j] = 1.0
+    options = {
+        "primal_feasibility_tolerance": 1e-10,
+        "dual_feasibility_tolerance": 1e-10,
+    } if tight else {"presolve": False}
+    res = linprog(sub_cost.ravel(), A_eq=a_eq.reshape(n_r + n_c - 1, -1),
+                  b_eq=np.concatenate([r_sup, c_sup[:-1]]), bounds=(0, None),
+                  method="highs", options=options)
+    assert res.success, res.message
+    return res.fun, res.x.reshape(n_r, n_c)
+
+
 class TestDeficitClosure:
+    def test_transport_lp_matches_linprog_bitwise(self, monkeypatch):
+        # _transport_lp calls HiGHS through scipy's private binding with the
+        # model and options linprog would pass; a scipy or HiGHS update that
+        # moves that binding shows here first.
+        m = 10
+        instances = []
+        for seed in (485, 902):
+            sup_r, sup_c, r, c = tiny_mass_instance(seed, m)
+            instances.append((_support_cost(sup_r, sup_c, m), r, c))
+        # a 64-by-64 support, the largest the closure sends to the LP
+        rng = np.random.default_rng(64)
+        sup_r, sup_c = (np.sort(rng.choice(m * m, 64, replace=False)) for _ in range(2))
+        assert sup_r.size * sup_c.size == transport._CLOSURE_LP_LIMIT
+        r, c = (w / w.sum() for w in rng.gamma(0.5, size=(2, 64)))
+        instances.append((_support_cost(sup_r, sup_c, m), r, c))
+        # the closure LPs of seeded sample-copula solves
+        solve_lp = transport._transport_lp
+        closures = []
+
+        def recording_lp(sub, a, b, tight=True):
+            closures.append((sub, a, b))
+            return solve_lp(sub, a, b, tight)
+
+        monkeypatch.setattr(transport, "_transport_lp", recording_lp)
+        for m, n_pairs in ((10, 4), (12, 3)):
+            pairs = [(random_sample_copula(rng, m), random_sample_copula(rng, m))
+                     for _ in range(n_pairs)]
+            sinkhorn_values_batch(*zip(*pairs), GroundCost(m),
+                                  SinkhornConfig(lam=default_lambda(m)))
+        monkeypatch.undo()
+        assert len(closures) >= 5
+        for sub, a, b in instances + closures:
+            for tight in (False, True):
+                value, plan = _transport_lp(sub, a, b, tight=tight)
+                oracle_value, oracle_plan = linprog_transport_lp(sub, a, b, tight)
+                assert value == oracle_value
+                assert np.array_equal(plan, oracle_plan)
+
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_infeasible_lp_raises(self, tight):
+        # a negative source mass: no nonnegative plan has these marginals
+        with pytest.raises(ConvergenceFailure, match="transport LP failed"):
+            _transport_lp(np.ones((2, 2)), np.array([1.5, -0.5]), np.array([0.5, 0.5]),
+                          tight=tight)
+
     def test_lp_with_tiny_masses_rejected_by_presolve(self):
         # A 47-by-67 support: HiGHS presolve calls this LP infeasible, though
         # equal totals make any such LP feasible.
@@ -512,21 +577,26 @@ class TestDeficitClosure:
             assert closed[False] > 0 and closed[True] > 0
 
     def test_lp_failure_reaches_batched_callers(self, rng, monkeypatch):
-        # A failed closure LP names no problem: batched callers must pass the
-        # ConvergenceFailure on with `.pair` left None.
+        # A failed closure LP names its problem, which batched callers remap
+        # to their own positions.
         def failing_lp(*args, **kwargs):
             raise ConvergenceFailure("transport LP failed: stub")
 
         monkeypatch.setattr(transport, "_transport_lp", failing_lp)
         m = 6
-        hists = [random_histogram(rng, m) for _ in range(3)]
         cost, cfg = GroundCost(m), SinkhornConfig(lam=default_lambda(m))
+        # a point mass against itself leaves no deficit to close, so only the
+        # random pair at position 66 (in the second chunk) reaches the LP
+        a = point_mass(m, 2, 3)
+        rs, cs = [a] * 70, [a] * 70
+        rs[66], cs[66] = random_histogram(rng, m), random_histogram(rng, m)
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
-            sinkhorn_values_batch(hists, hists[::-1], cost, cfg)
-        assert err.value.pair is None
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert err.value.pair == (66,)
+        # the first pair solved with the random histogram is (0, 2)
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
-            pairwise_distance_matrix(hists, cost, cfg)
-        assert err.value.pair is None
+            pairwise_distance_matrix([a, a, rs[66], a], cost, cfg)
+        assert err.value.pair == ((0, 2),)
 
 
 class TestExactOt:
