@@ -10,8 +10,8 @@ shifted matmul through BLAS: rows of log-weights are shifted by their max,
 exponentiated and multiplied by the exponentiated one-axis kernel, with an
 exact log-sum-exp only where the kernel's tails underflowed. Numbers below
 float64's normal range send numpy's exp and the BLAS kernels down slow
-paths, so the exponentiated kernel is computed once per kernel with its
-subnormal entries set to 0, and only the exact fallback clamps its
+paths, so the exponentiated kernel is built once per kernel by `_kernel`
+with its subnormal entries set to 0, and only the exact fallback clamps its
 exponents; neither changes a bit of the result. A dense LP oracle over the
 support cells provides exact values for desk-scale instances. It and the
 small LP that closes each rounding deficit call HiGHS directly through
@@ -22,6 +22,7 @@ about half of each closure LP's time (see `_transport_lp`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
@@ -151,9 +152,9 @@ class TransportPlan:
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and column marginals of the plan, as m-by-m grids."""
-        lk = self._log_kernel()
-        row = np.exp(self.log_u + _log_kernel_apply(lk, self.log_v))
-        col = np.exp(self.log_v + _log_kernel_apply(lk, self.log_u))
+        k = _kernel(self._log_kernel())
+        row = np.exp(self.log_u + _log_kernel_apply(k, self.log_v))
+        col = np.exp(self.log_v + _log_kernel_apply(k, self.log_u))
         s = self.err_r.sum()
         if s > 0.0:
             if self.correction is None:
@@ -195,39 +196,34 @@ class TransportPlan:
 _UNDERFLOW = 1e-250  # shifted products below this are recomputed exactly
 _TINY = np.finfo(float).tiny  # smallest normal float64; kernel entries below it are flushed
 _EXP_FLOOR = -700.0  # fallback exponents are clamped here, where exp is still normal
-_KERNEL_EXPS: list = []  # ((shape, bytes of lk), flushed exp(lk)), most recent first
 
 
-def _kernel_exp(lk: np.ndarray) -> np.ndarray:
-    """exp(lk) with its subnormal entries set to 0, computed once per kernel.
+class _Kernel(NamedTuple):
+    """A one-axis log kernel lk and its exponential ek, whose subnormal
+    entries are set to 0. ek is read-only: every application shares it."""
 
-    Memoised by the bytes of lk: the scaling loop applies one kernel
-    thousands of times, and comparing its bytes costs a tenth of the
-    exponential. The result is read-only, since every caller shares it.
-    """
-    key = (lk.shape, lk.tobytes())
-    for cached, ek in _KERNEL_EXPS:
-        if cached == key:
-            return ek
+    lk: np.ndarray
+    ek: np.ndarray
+
+
+def _kernel(lk: np.ndarray) -> _Kernel:
+    """The record for log kernel lk. The scaling loop applies one kernel
+    thousands of times, so its caller builds the record once and passes it."""
     ek = np.exp(lk)
     ek[ek < _TINY] = 0.0
     ek.flags.writeable = False
-    _KERNEL_EXPS.insert(0, (key, ek))
-    # a solve alternates at most three kernels: a stage's, and lk and
-    # lk + log(axis_cost) in the plan value
-    del _KERNEL_EXPS[4:]
-    return ek
+    return _Kernel(lk, ek)
 
 
-def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """out[..., i, q] = LSE_j (lw[..., i, j] + lk[j, q]) for a symmetric lk <= 0."""
+def _lse_contract(k: _Kernel, lw: np.ndarray) -> np.ndarray:
+    """out[..., i, q] = LSE_j (lw[..., i, j] + k.lk[j, q]) for a symmetric k.lk <= 0."""
     m = lw.shape[-1]
     # numpy reduces along short rows slowly, so both maxima here reduce a
     # transposed copy; a max has the same bits in any order
     s = np.ascontiguousarray(lw.reshape(-1, m).T).max(axis=0).reshape(*lw.shape[:-1], 1)
     finite = np.isfinite(s)
     s = np.where(finite, s, 0.0)
-    prod = np.exp(lw - s) @ _kernel_exp(lk)
+    prod = np.exp(lw - s) @ k.ek
     low = prod < _UNDERFLOW
     out = np.log(prod, out=prod)
     out += s
@@ -236,7 +232,7 @@ def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     # an all -inf row already gives -inf and needs no recomputation
     redo = np.flatnonzero(low & finite)
     a = lw.reshape(-1, m)[redo // m]
-    a += lk[redo % m]
+    a += k.lk[redo % m]
     terms = np.ascontiguousarray(a.T)
     amax = terms.max(axis=0)
     terms -= amax
@@ -251,13 +247,13 @@ def _lse_contract(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray,
-                      lk_first: np.ndarray | None = None) -> np.ndarray:
+def _log_kernel_apply(k: _Kernel, lw: np.ndarray,
+                      k_first: _Kernel | None = None) -> np.ndarray:
     """out[..., p, q] = LSE_{p', q'} (lk1[p, p'] + lk[q, q'] + lw[..., p', q']).
 
-    lk1 is lk_first when given, else lk; both must be symmetric and <= 0.
-    A separate first-axis kernel lets `_plan_value_log` weight one axis of
-    the kernel by its cost.
+    lk is k.lk, and lk1 is k_first.lk when given, else lk; both must be
+    symmetric and <= 0. A separate first-axis kernel lets `_plan_value_log`
+    weight one axis of the kernel by its cost.
 
     The separable kernel is applied as two shifted matmuls, one per grid
     axis; the second runs on the swapped axes. Each shifts every row of
@@ -275,8 +271,8 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray,
     Numbers below float64's normal range take slow paths in both numpy's
     exp and the BLAS kernels: subnormal kernel entries made a 6-problem
     matmul at m=24 7 to 20 times slower, and a subnormal exp result costs
-    about 100 times a normal one. So exp(lk) is computed once per kernel
-    (see `_kernel_exp`) with its subnormal entries set to 0. That is exact
+    about 100 times a normal one. So exp(lk) is built once per kernel by
+    `_kernel`, with its subnormal entries set to 0. That is exact
     by the same argument: each dropped term is below 2.2e-308, and products
     under 1e-250 are redone from lk itself. The fallback clamps its shifted
     exponents at -700, which is exact because each of its sums holds a term
@@ -285,8 +281,8 @@ def _log_kernel_apply(lk: np.ndarray, lw: np.ndarray,
     again.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = _lse_contract(lk, np.ascontiguousarray(lw))  # (..., p', q)
-        outer = _lse_contract(lk if lk_first is None else lk_first,
+        inner = _lse_contract(k, np.ascontiguousarray(lw))  # (..., p', q)
+        outer = _lse_contract(k if k_first is None else k_first,
                               np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
     return np.ascontiguousarray(np.swapaxes(outer, -1, -2))
 
@@ -296,15 +292,15 @@ def _kernel_apply(k: np.ndarray, w: np.ndarray) -> np.ndarray:
     return k @ w @ k
 
 
-def _plain_kernel_apply(lk: np.ndarray, lw: np.ndarray) -> np.ndarray:
-    """`_log_kernel_apply` as log(k @ exp(lw) @ k), unstabilised: at sharp lam
-    its result leaves float64 range, which the scaling loop's residual check
-    reports as UnderflowDetected."""
+def _plain_kernel_apply(k: _Kernel, lw: np.ndarray) -> np.ndarray:
+    """`_log_kernel_apply` as log(K @ exp(lw) @ K) with K = exp(k.lk),
+    unstabilised: at sharp lam its result leaves float64 range, which the
+    scaling loop's residual check reports as UnderflowDetected."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.log(_kernel_apply(np.exp(lk), np.exp(lw)))
+        return np.log(_kernel_apply(np.exp(k.lk), np.exp(lw)))
 
 
-def _plan_value_log(axis_cost: np.ndarray, lk: np.ndarray,
+def _plan_value_log(axis_cost: np.ndarray, k: _Kernel,
                     lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """<P, M> for P = diag(u) K diag(v) and the cost M = C1 (+) C1.
 
@@ -317,12 +313,12 @@ def _plan_value_log(axis_cost: np.ndarray, lk: np.ndarray,
     the same maximum keeps the exponents, and so their rounding, small.
     """
     with np.errstate(divide="ignore"):
-        lkc = lk + np.log(axis_cost)  # -inf on the zero-cost diagonal
+        kc = _kernel(k.lk + np.log(axis_cost))  # -inf on the zero-cost diagonal
     shift = 0.5 * (np.max(lu, axis=(-2, -1), keepdims=True)
                    - np.max(lv, axis=(-2, -1), keepdims=True))
     lu, lv = lu - shift, lv + shift
-    weighted = (np.exp(lu + _log_kernel_apply(lk, lv, lk_first=lkc))
-                + np.exp(lu + _log_kernel_apply(lkc, lv, lk_first=lk)))
+    weighted = (np.exp(lu + _log_kernel_apply(k, lv, k_first=kc))
+                + np.exp(lu + _log_kernel_apply(kc, lv, k_first=k)))
     return np.sum(weighted, axis=(-2, -1))
 
 
@@ -331,7 +327,7 @@ def _safe_log(a: np.ndarray) -> np.ndarray:
         return np.log(a)
 
 
-def _round_to_polytope(lk, lr, lc, R, C, lu, lv):
+def _round_to_polytope(k, lr, lc, R, C, lu, lv):
     """Project the factored plan onto the transportation polytope.
 
     Scales rows then columns down to never exceed their targets, and closes
@@ -341,14 +337,14 @@ def _round_to_polytope(lk, lr, lc, R, C, lu, lv):
     plus the deficit grids (err_r, err_c).
     """
     with np.errstate(invalid="ignore", divide="ignore"):
-        row = np.exp(lu + _log_kernel_apply(lk, lv))
+        row = np.exp(lu + _log_kernel_apply(k, lv))
         lu = lu + np.minimum(lr - _safe_log(row), 0.0)
         lu = np.where(np.isnan(lu), -np.inf, lu)
-        klu = _log_kernel_apply(lk, lu)
+        klu = _log_kernel_apply(k, lu)
         col = np.exp(lv + klu)
         lv = lv + np.minimum(lc - _safe_log(col), 0.0)
         lv = np.where(np.isnan(lv), -np.inf, lv)
-    err_r = np.clip(R - np.exp(lu + _log_kernel_apply(lk, lv)), 0.0, None)
+    err_r = np.clip(R - np.exp(lu + _log_kernel_apply(k, lv)), 0.0, None)
     err_c = np.clip(C - np.exp(lv + klu), 0.0, None)
     return lu, lv, err_r, err_c
 
@@ -430,7 +426,7 @@ def _anneal_schedule(lam: float, m: int) -> list[float]:
 # -inf potentials outside the support make NaN in the relaxation combination,
 # which np.where masks back to -inf at once
 @np.errstate(invalid="ignore")
-def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
+def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv, kernel):
     """Over-relaxed scaling updates with per-problem stopping.
 
     Over-relaxation keeps the plain Sinkhorn fixed point but contracts much
@@ -471,12 +467,12 @@ def _scaling_loop(lr, lc, lk, R, C, tol, max_iter, lu, lv, kernel):
     out_lv = lv.copy()
     residuals = np.full(B, np.inf)
     it = 0
-    klv = kernel(lk, lv)
+    klv = kernel(k, lv)
     for it in range(1, max_iter + 1):
         lu = np.where(sup_r, (1.0 - theta) * lu + theta * (lr - klv), neg_inf)
-        klu = kernel(lk, lu)
+        klu = kernel(k, lu)
         lv = np.where(sup_c, (1.0 - theta) * lv + theta * (lc - klu), neg_inf)
-        klv = kernel(lk, lv)
+        klv = kernel(k, lv)
         if it % _CHECK_EVERY == 0 or it == max_iter:
             res = np.maximum(
                 np.abs(np.exp(lu + klv) - R).max(axis=(-2, -1)),
@@ -555,23 +551,23 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     residuals = np.full(R.shape[0], np.inf)
     stalled = np.zeros(R.shape[0], dtype=bool)
     for stage, lam_s in enumerate(schedule):
-        lk = -lam_s * cost.axis_cost
+        k = _kernel(-lam_s * cost.axis_cost)
         last = stage == len(schedule) - 1
         if last:
             tol, budget = cfg.tol, max(cfg.max_iter - total_iters, 1)
         else:
             tol, budget = max(cfg.tol, 1e-4), min(1000, cfg.max_iter)
-        lu, lv, residuals, it, stalled = _scaling_loop(lr, lc, lk, R, C, tol, budget,
+        lu, lv, residuals, it, stalled = _scaling_loop(k, lr, lc, R, C, tol, budget,
                                                        lu, lv, kernel)
         total_iters += it
         if not last:
             ratio = schedule[stage + 1] / lam_s
             lu = lu * ratio
             lv = lv * ratio
-    lk = -cfg.lam * cost.axis_cost
+    # k is now the last stage's kernel, whose sharpness is cfg.lam
     failed = (residuals >= cfg.tol) & ~stalled
     if np.any(failed):
-        values = _plan_value_log(cost.axis_cost, lk, lu, lv)
+        values = _plan_value_log(cost.axis_cost, k, lu, lv)
         worst = float(residuals[failed].max())
         raise ConvergenceFailure(
             f"sinkhorn residual {worst:.3e} >= tol {cfg.tol:.1e} after "
@@ -580,8 +576,8 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
             value=float(values[0]) if len(values) == 1 else values.tolist(),
             pair=tuple(int(b) for b in np.flatnonzero(failed)),
         )
-    lu, lv, err_r, err_c = _round_to_polytope(lk, lr, lc, R, C, lu, lv)
-    values = _plan_value_log(cost.axis_cost, lk, lu, lv)
+    lu, lv, err_r, err_c = _round_to_polytope(k, lr, lc, R, C, lu, lv)
+    values = _plan_value_log(cost.axis_cost, k, lu, lv)
     corrections = []
     for b in range(R.shape[0]):
         try:
@@ -710,14 +706,14 @@ def wasserstein_barycenter(hists, weights, cost: GroundCost,
     if w.shape != (len(hists),) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
         raise InvalidData("weights must be a simplex vector matching the histogram count")
 
-    lk = -cfg.lam * cost.axis_cost
+    k = _kernel(-cfg.lam * cost.axis_cost)
     la = _safe_log(np.stack([h.mass for h in hists]))  # (n, m, m)
     lu = np.zeros_like(la)
     mu = np.full((cost.m, cost.m), 1.0 / (cost.m * cost.m))
     residual = np.inf
     for it in range(1, cfg.max_iter + 1):
-        lv = la - _log_kernel_apply(lk, lu)
-        lkv = _log_kernel_apply(lk, lv)
+        lv = la - _log_kernel_apply(k, lu)
+        lkv = _log_kernel_apply(k, lv)
         lmu = np.tensordot(w, lu + lkv, axes=(0, 0))
         lmu -= logsumexp(lmu)
         lu = lmu[None, :, :] - lkv

@@ -24,6 +24,7 @@ from coptrans import (
 from coptrans import transport
 from coptrans.transport import (
     _close_deficit,
+    _kernel,
     _kernel_apply,
     _lex_swap_mask,
     _log_kernel_apply,
@@ -140,7 +141,7 @@ class TestGroundCost:
         lw = rng.standard_normal((m, m))
         lw[0, :] = -np.inf
         dense = np.log(np.exp(-lam * cost.matrix) @ np.exp(lw).ravel()).reshape(m, m)
-        assert np.abs(_log_kernel_apply(lk, lw) - dense).max() < 1e-10
+        assert np.abs(_log_kernel_apply(_kernel(lk), lw) - dense).max() < 1e-10
 
         # At the default sharpness the kernel underflows a few cells away, so
         # point-mass-like weights leave entries for the exact fallback.
@@ -155,7 +156,8 @@ class TestGroundCost:
         lws[2, 4, :] = -np.inf
         lws[2, :, 7] = -np.inf
         lws[3] = -np.inf
-        out = _log_kernel_apply(lk, lws)
+        k = _kernel(lk)
+        out = _log_kernel_apply(k, lws)
         for lw, got in zip(lws, out):
             dense = logsumexp(-default_lambda(m) * cost.matrix + lw.ravel(), axis=1)
             dense = dense.reshape(m, m)
@@ -167,8 +169,8 @@ class TestGroundCost:
         assert np.all(out[3] == -np.inf)
         # each slice's bits are those of the slice solved on its own
         for b in range(len(lws)):
-            assert np.array_equal(out[b], _log_kernel_apply(lk, lws[b]))
-            assert np.array_equal(out[b:b + 1], _log_kernel_apply(lk, lws[b:b + 1]))
+            assert np.array_equal(out[b], _log_kernel_apply(k, lws[b]))
+            assert np.array_equal(out[b:b + 1], _log_kernel_apply(k, lws[b:b + 1]))
 
     def test_log_kernel_apply_matches_reference_bitwise(self, rng):
         def weights(m):
@@ -200,9 +202,10 @@ class TestGroundCost:
                 lkc = lk + np.log(GroundCost(m).axis_cost)  # -inf on the diagonal
             for lk1, lk2 in ((lk, None), (lkc, lk), (lk, lkc)):
                 expected = reference_log_kernel_apply(lk1, lws, lk2)
-                assert np.array_equal(_log_kernel_apply(lk1, lws, lk2), expected)
+                k1, k2 = _kernel(lk1), None if lk2 is None else _kernel(lk2)
+                assert np.array_equal(_log_kernel_apply(k1, lws, k2), expected)
                 for b in range(len(lws)):
-                    assert np.array_equal(_log_kernel_apply(lk1, lws[b], lk2), expected[b])
+                    assert np.array_equal(_log_kernel_apply(k1, lws[b], k2), expected[b])
                 deep |= bool(np.any(np.isfinite(expected) & (expected < np.log(1e-250))))
         assert deep  # the exact fallback ran
 
@@ -392,14 +395,14 @@ class TestBatchedValues:
         C = np.stack([random_sample_copula(rng, m, T=30).mass for _ in range(4)])
         calls = 0
 
-        def counting_kernel(lk, lw):
+        def counting_kernel(k, lw):
             nonlocal calls
             calls += 1
-            return _log_kernel_apply(lk, lw)
+            return _log_kernel_apply(k, lw)
 
         lr, lc = transport._safe_log(R), transport._safe_log(C)
-        lk = -default_lambda(m) * cost.axis_cost
-        *_, it, _ = transport._scaling_loop(lr, lc, lk, R, C, 1e-6, 500, np.zeros_like(R),
+        k = _kernel(-default_lambda(m) * cost.axis_cost)
+        *_, it, _ = transport._scaling_loop(k, lr, lc, R, C, 1e-6, 500, np.zeros_like(R),
                                             np.zeros_like(C), counting_kernel)
         assert it > transport._CHECK_EVERY
         assert calls == 1 + 2 * it
