@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import CopulaHistogram
-from .errors import InvalidData
+from .errors import InvalidData, InvalidParameter
 from .transport import (
     GroundCost,
     SinkhornConfig,
@@ -69,6 +69,8 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
     n = len(hists)
     if not 1 <= k <= n:
         raise InvalidData(f"need 1 <= k <= {n}, got k={k}")
+    if max_rounds < 1:
+        raise InvalidParameter(f"max_rounds must be >= 1, got {max_rounds}")
     rng = np.random.default_rng(seed)
 
     # k-means++ style: seed with an arbitrary member, then draw proportionally

@@ -97,9 +97,10 @@ def tfdc_power_targets(m: int = 20, T_ref: int = 100_000, seed: int = 0,
     """
     targets = tuple(power_target_copulas(m, T_ref, seed).values())
     forget = reference_copula(TargetBuilderSpec("independence", m))
-    # Detection-grade solver settings: power thresholding only needs the
-    # coefficient to percent-level accuracy, so a loose marginal target and a
-    # modest iteration cap keep the many replicate evaluations fast.
+    # Detection-grade solver settings: a loose marginal target and a modest
+    # iteration cap keep the many replicate evaluations fast. They cost
+    # accuracy: against solves at tol=1e-9, values at these settings moved
+    # TFDC by up to 0.061.
     return TFDCSpec(
         targets=targets,
         forgets=(forget,),

@@ -51,8 +51,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.T < 2:
             raise InvalidParameter(f"need T >= 2, got {self.T}")
-        if self.noise_level < 0:
-            raise InvalidParameter("noise_level must be >= 0")
+        if not 0 <= self.noise_level < np.inf:
+            raise InvalidParameter(f"noise_level must be finite and >= 0, got {self.noise_level}")
 
 
 def generate(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +147,9 @@ def gen_power_pattern(pattern: str, noise_level: float, T: int,
     """
     if pattern not in POWER_PATTERNS:
         raise InvalidParameter(f"unknown power pattern {pattern!r}; choose from {POWER_PATTERNS}")
-    if noise_level < 0:
-        raise InvalidParameter("noise_level must be >= 0")
+    # a NaN level would skip the noise below and return clean data
+    if not 0 <= noise_level < np.inf:
+        raise InvalidParameter(f"noise_level must be finite and >= 0, got {noise_level}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=T)
     if pattern == "circle":

@@ -119,8 +119,9 @@ class SinkhornConfig:
     log_domain: bool = True
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InvalidParameter(f"lam must be positive, got {self.lam}")
+        # an infinite lam would make _anneal_schedule append inf forever
+        if not 0 < self.lam < np.inf:
+            raise InvalidParameter(f"lam must be positive and finite, got {self.lam}")
         if not self.tol > 0:
             raise InvalidParameter(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -369,8 +370,13 @@ def _close_deficit(err_r: np.ndarray, err_c: np.ndarray, m: int):
 
     Small deficits are closed optimally with a tiny transport LP over their
     support cells, whose plan is then rounded to exact marginals;
-    large-support deficits fall back to the rank-one coupling (their mass is
-    tol-scale, so the coarser routing is immaterial there).
+    large-support deficits fall back to the rank-one coupling. That coarser
+    routing costs accuracy. On a power-study probe at m=12, 24 of 168
+    deficits exceeded _CLOSURE_LP_LIMIT; closed rank-one, they put the p90
+    excess over the exact optimum at 15.3%, against 7.2% when every deficit
+    was closed by transport. Closing every deficit rank-one raised the
+    power-m12 benchmark's mean excess over exact from 6.14e-4 to 9.40e-4
+    (+53%).
     Returns (cost, correction) where correction is None for the rank-one case
     or (idx_r, idx_c, small_plan) otherwise.
     """

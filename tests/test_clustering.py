@@ -6,6 +6,7 @@ import pytest
 from coptrans import (
     GroundCost,
     InvalidData,
+    InvalidParameter,
     SinkhornConfig,
     centroid_report,
     cluster_copulas,
@@ -138,6 +139,12 @@ class TestClusterCopulas:
         cost, cfg = cost_cfg
         with pytest.raises(InvalidData):
             cluster_copulas(mw_hists, 7, cost, cfg, seed=0)
+
+    def test_max_rounds_validation(self, mw_hists, cost_cfg):
+        # zero rounds used to return every assignment as -1
+        cost, cfg = cost_cfg
+        with pytest.raises(InvalidParameter):
+            cluster_copulas(mw_hists, 2, cost, cfg, seed=0, max_rounds=0)
 
 
 class TestCentroidReport:

@@ -270,6 +270,17 @@ class TestCli:
                      "--sample-size", "60", "--seed", "3", "--out", str(out)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--input", "DATA", "--m", "8", "--lambda", "inf"],
+        ["cluster", "--input", "DATA", "--m", "8", "--k", "2", "--seed", "5",
+         "--max-rounds", "0"],
+        ["power", "--patterns", "linear", "--noise-levels", "nan", "--coefficients",
+         "pearson", "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
+    ])
+    def test_exit_code_out_of_range_parameter(self, dataset, tmp_path, argv):
+        argv = [str(dataset) if a == "DATA" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+
     def test_exit_code_convergence_failure(self, dataset, tmp_path, monkeypatch, capsys):
         def failing_lp(*args, **kwargs):
             raise ConvergenceFailure("transport LP failed: stub")

@@ -114,6 +114,13 @@ class TestPowerPatterns:
         with pytest.raises(InvalidParameter):
             gen_power_pattern("spiral", 0.0, 100, 0)
 
+    def test_noise_level_must_be_finite_and_non_negative(self):
+        for level in (np.nan, np.inf, -0.5):
+            with pytest.raises(InvalidParameter):
+                gen_power_pattern("linear", level, 100, 0)
+            with pytest.raises(InvalidParameter):
+                ScenarioSpec(kind="power_pattern", T=100, seed=0, noise_level=level)
+
 
 class TestGaussianPair:
     def test_independent_case(self):

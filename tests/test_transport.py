@@ -1,3 +1,6 @@
+from concurrent.futures import ThreadPoolExecutor
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -9,6 +12,7 @@ from coptrans import (
     CopulaHistogram,
     GroundCost,
     InvalidData,
+    InvalidParameter,
     OracleTooLarge,
     SinkhornConfig,
     TargetBuilderSpec,
@@ -312,6 +316,13 @@ class TestSinkhornDistance:
             sinkhorn_distance(random_histogram(rng, 4), random_histogram(rng, 5),
                               GroundCost(4), SinkhornConfig(lam=10.0))
 
+    def test_config_rejects_lam_outside_positive_finite(self):
+        # an infinite lam used to pass and then grow the anneal schedule
+        # without bound
+        for lam in (np.inf, np.nan, 0.0, -1.0):
+            with pytest.raises(InvalidParameter):
+                SinkhornConfig(lam=lam)
+
 
 class TestBatchedValues:
     def test_batch_mates_order_and_chunking_change_no_bit(self, rng):
@@ -406,6 +417,29 @@ class TestBatchedValues:
                                             np.zeros_like(C), counting_kernel)
         assert it > transport._CHECK_EVERY
         assert calls == 1 + 2 * it
+
+    def test_concurrent_solves_match_serial(self, rng):
+        # two threads keep batches at m=10 and m=24, so two different
+        # kernels, in flight at once
+        jobs = []
+        for m in (10, 24):
+            R = np.stack([random_sample_copula(rng, m, T=60).mass for _ in range(4)])
+            C = np.stack([random_histogram(rng, m).mass for _ in range(4)])
+            jobs.append((R, C, GroundCost(m), SinkhornConfig(lam=default_lambda(m))))
+        serial = [transport._sinkhorn_many(*job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(transport._sinkhorn_many, *job) for job in jobs * 3]
+                results = [f.result(timeout=300) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, got in enumerate(results):
+            want = serial[i % 2]
+            for a, b in zip(got[:5], want[:5]):  # values, potentials, deficits
+                assert np.array_equal(a, b)
+            assert got[6] == want[6]
 
     def test_lex_swap_mask_matches_loop(self, rng):
         R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
