@@ -1,5 +1,5 @@
-from concurrent.futures import ThreadPoolExecutor
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
