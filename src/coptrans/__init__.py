@@ -34,7 +34,6 @@ from .errors import (
     IoError,
     OracleTooLarge,
     ParseError,
-    UnderflowDetected,
 )
 from .formats import load_csv, read_cop, write_cop, write_heatmap
 from .power import PowerResult, estimate_power, make_tfdc_coefficient, tfdc_power_targets
@@ -82,7 +81,6 @@ __all__ = [
     "TFDCSpec",
     "TargetBuilderSpec",
     "TransportPlan",
-    "UnderflowDetected",
     "centroid_report",
     "cluster_copulas",
     "default_lambda",

@@ -23,7 +23,7 @@ class InfeasibleProjection(CoptransError):
 
 class ConvergenceFailure(CoptransError):
     """An iterative solver did not reach its tolerance: it hit its iteration
-    cap, or (as the subclass UnderflowDetected) left float64 range.
+    cap, or its residual was NaN.
 
     Carries the last marginal residual and the last objective value where one
     is available. From a batched transport solve, `pair` names the problems
@@ -39,10 +39,6 @@ class ConvergenceFailure(CoptransError):
         self.residual = residual
         self.value = value
         self.pair = pair
-
-
-class UnderflowDetected(ConvergenceFailure):
-    """Plain-domain Sinkhorn scaling underflowed; retry with log_domain=True."""
 
 
 class OracleTooLarge(CoptransError):

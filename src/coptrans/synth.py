@@ -92,6 +92,9 @@ def gen_noisy_parabola(offset: float, T: int, seed: int) -> tuple[np.ndarray, np
     on one side and co-monotonic on the other; distinct offsets produce
     horizontally shifted copies of the same V-shaped copula pattern.
     """
+    # a non-finite offset would make every y non-finite
+    if not np.isfinite(offset):
+        raise InvalidParameter(f"offset must be finite, got {offset}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=T)
     y = (x - 0.5 + offset) ** 2

@@ -34,7 +34,6 @@ from .errors import (
     InvalidData,
     InvalidParameter,
     OracleTooLarge,
-    UnderflowDetected,
 )
 
 __all__ = [
@@ -106,17 +105,11 @@ class SinkhornConfig:
     without a 10% gain; that fires on slow convergence too, so its residual
     can stay above tol. The polytope rounding restores exact plan marginals
     either way, so returned values are always feasible-plan costs.
-
-    log_domain=False runs the scaling iterations with the plain kernel
-    log(K exp(w)) instead of the stabilised log-sum-exp one; when that
-    leaves float64 range, the solve raises UnderflowDetected. Rounding, plan
-    values and wasserstein_barycenter run in the log domain either way.
     """
 
     lam: float
     max_iter: int = 10000
     tol: float = 1e-4
-    log_domain: bool = True
 
     def __post_init__(self):
         # an infinite lam would make _anneal_schedule append inf forever
@@ -288,19 +281,6 @@ def _log_kernel_apply(k: _Kernel, lw: np.ndarray,
     return np.ascontiguousarray(np.swapaxes(outer, -1, -2))
 
 
-def _kernel_apply(k: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Plain-domain counterpart of `_log_kernel_apply` (k symmetric)."""
-    return k @ w @ k
-
-
-def _plain_kernel_apply(k: _Kernel, lw: np.ndarray) -> np.ndarray:
-    """`_log_kernel_apply` as log(K @ exp(lw) @ K) with K = exp(k.lk),
-    unstabilised: at sharp lam its result leaves float64 range, which the
-    scaling loop's residual check reports as UnderflowDetected."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return np.log(_kernel_apply(np.exp(k.lk), np.exp(lw)))
-
-
 def _plan_value_log(axis_cost: np.ndarray, k: _Kernel,
                     lu: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """<P, M> for P = diag(u) K diag(v) and the cost M = C1 (+) C1.
@@ -432,20 +412,16 @@ def _anneal_schedule(lam: float, m: int) -> list[float]:
 # -inf potentials outside the support make NaN in the relaxation combination,
 # which np.where masks back to -inf at once
 @np.errstate(invalid="ignore")
-def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv, kernel):
+def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv):
     """Over-relaxed scaling updates with per-problem stopping.
 
     Over-relaxation keeps the plain Sinkhorn fixed point but contracts much
     faster in the sharp-kernel regime; where the residual stops improving the
     relaxation factor is walked back toward plain updates. Cells with zero
     mass keep their potentials pinned at -inf, outside the relaxation
-    combination. `kernel` is `_log_kernel_apply` or `_plain_kernel_apply`;
-    both map log-weights to log-weights. Each iteration applies it to the new
-    lu and the new lv, and the residual check and the next u half-step reuse
-    both, so a call makes 1 + 2 * iterations applications. A residual that
-    is not finite means the plain kernel left float64 range and raises
-    UnderflowDetected, whose `.pair` holds the batch positions of those
-    problems.
+    combination. Each iteration applies the kernel to the new lu and the new
+    lv, and the residual check and the next u half-step reuse both, so a
+    call makes 1 + 2 * iterations applications.
 
     The updates are elementwise-independent across the batch, and every
     problem freezes its potentials the moment its own stopping rule fires,
@@ -473,21 +449,17 @@ def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv, kernel):
     out_lv = lv.copy()
     residuals = np.full(B, np.inf)
     it = 0
-    klv = kernel(k, lv)
+    klv = _log_kernel_apply(k, lv)
     for it in range(1, max_iter + 1):
         lu = np.where(sup_r, (1.0 - theta) * lu + theta * (lr - klv), neg_inf)
-        klu = kernel(k, lu)
+        klu = _log_kernel_apply(k, lu)
         lv = np.where(sup_c, (1.0 - theta) * lv + theta * (lc - klu), neg_inf)
-        klv = kernel(k, lv)
+        klv = _log_kernel_apply(k, lv)
         if it % _CHECK_EVERY == 0 or it == max_iter:
             res = np.maximum(
                 np.abs(np.exp(lu + klv) - R).max(axis=(-2, -1)),
                 np.abs(np.exp(lv + klu) - C).max(axis=(-2, -1)),
             )
-            if not np.all(np.isfinite(res)):
-                raise UnderflowDetected(f"marginal residual not finite at iteration {it}; "
-                                        "retry with log_domain=True",
-                                        pair=tuple(int(b) for b in active[~np.isfinite(res)]))
             converged = res < tol
             no_gain = ~converged & (res > 0.9 * best)
             improving = ~converged & ~no_gain
@@ -540,10 +512,10 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     corrections, iters). Warm-starting through the sharpness ramp changes
     nothing about the fixed point at cfg.lam; it only accelerates
     convergence, and the schedule is a pure function of (lam, m). Every
-    problem stops on its own rule, so batching never changes results.
-    cfg.log_domain picks the kernel of the scaling iterations only. The final
-    plan is rounded onto the polytope in the log domain, making the returned
-    values costs of exactly feasible plans.
+    problem stops on its own rule, so batching never changes results. The
+    final plan is rounded onto the polytope, making the returned values
+    costs of exactly feasible plans. A problem fails when its residual is
+    not below cfg.tol, NaN included, unless it stalled.
     """
     swap = _lex_swap_mask(R, C)[:, None, None]
     R, C = np.where(swap, C, R), np.where(swap, R, C)
@@ -552,7 +524,6 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     lv = np.zeros_like(C)
     lu = np.zeros_like(R)
     schedule = _anneal_schedule(cfg.lam, cost.m)
-    kernel = _log_kernel_apply if cfg.log_domain else _plain_kernel_apply
     total_iters = 0
     residuals = np.full(R.shape[0], np.inf)
     stalled = np.zeros(R.shape[0], dtype=bool)
@@ -563,15 +534,15 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
             tol, budget = cfg.tol, max(cfg.max_iter - total_iters, 1)
         else:
             tol, budget = max(cfg.tol, 1e-4), min(1000, cfg.max_iter)
-        lu, lv, residuals, it, stalled = _scaling_loop(k, lr, lc, R, C, tol, budget,
-                                                       lu, lv, kernel)
+        lu, lv, residuals, it, stalled = _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv)
         total_iters += it
         if not last:
             ratio = schedule[stage + 1] / lam_s
             lu = lu * ratio
             lv = lv * ratio
     # k is now the last stage's kernel, whose sharpness is cfg.lam
-    failed = (residuals >= cfg.tol) & ~stalled
+    # not `>=`, so that a NaN residual fails too
+    failed = ~(residuals < cfg.tol) & ~stalled
     if np.any(failed):
         values = _plan_value_log(cost.axis_cost, k, lu, lv)
         worst = float(residuals[failed].max())

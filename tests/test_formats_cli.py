@@ -276,6 +276,7 @@ class TestCli:
          "--max-rounds", "0"],
         ["power", "--patterns", "linear", "--noise-levels", "nan", "--coefficients",
          "pearson", "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
+        ["synth", "--kind", "noisy_parabola", "--offset", "nan", "--T", "50", "--seed", "1"],
     ])
     def test_exit_code_out_of_range_parameter(self, dataset, tmp_path, argv):
         argv = [str(dataset) if a == "DATA" else a for a in argv]

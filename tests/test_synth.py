@@ -84,6 +84,11 @@ class TestNoisyParabola:
         b = empirical_copula_from_data(*gen_noisy_parabola(0.10, 5000, 9), 20)
         assert np.abs(a.mass - b.mass).sum() > 0.1
 
+    def test_offset_must_be_finite(self):
+        for off in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidParameter):
+                gen_noisy_parabola(off, 100, 0)
+
 
 class TestPowerPatterns:
     def test_linear_noise_free_is_perfectly_monotone(self):

@@ -16,7 +16,6 @@ from coptrans import (
     OracleTooLarge,
     SinkhornConfig,
     TargetBuilderSpec,
-    UnderflowDetected,
     default_lambda,
     exact_ot,
     pairwise_distance_matrix,
@@ -29,7 +28,6 @@ from coptrans import transport
 from coptrans.transport import (
     _close_deficit,
     _kernel,
-    _kernel_apply,
     _lex_swap_mask,
     _log_kernel_apply,
     _support_cost,
@@ -133,7 +131,7 @@ class TestGroundCost:
         k_dense = np.exp(-lam * cost.matrix)
         for _ in range(5):
             w = rng.uniform(size=(m, m))
-            sep = _kernel_apply(k1, w)
+            sep = k1 @ w @ k1
             dense = (k_dense @ w.ravel()).reshape(m, m)
             assert np.abs(sep - dense).max() < 1e-10
 
@@ -284,23 +282,26 @@ class TestSinkhornDistance:
                     assert abs(value - dense) <= 1e-11 * dense
 
     def test_plain_path_matches_log_path(self, rng):
+        # The plain path is textbook dense Sinkhorn, u = a / (K v) and
+        # v = b / (K^T u), run here to a far tighter residual than the solver.
         m = 6
         a = random_histogram(rng, m, concentration=2.0)
         b = random_histogram(rng, m, concentration=2.0)
         cost = GroundCost(m)
-        v_log, _, _ = sinkhorn_distance(a, b, cost, SinkhornConfig(lam=100.0, tol=1e-8))
-        v_plain, _, _ = sinkhorn_distance(
-            a, b, cost, SinkhornConfig(lam=100.0, tol=1e-8, log_domain=False)
-        )
+        lam = 100.0
+        v_log, _, _ = sinkhorn_distance(a, b, cost, SinkhornConfig(lam=lam, tol=1e-8))
+        K = np.exp(-lam * cost.matrix)
+        ra, rb = a.mass.ravel(), b.mass.ravel()
+        v = np.ones(m * m)
+        for _ in range(100000):
+            u = ra / (K @ v)
+            v = rb / (K.T @ u)
+            if np.abs(u * (K @ v) - ra).max() < 1e-14:
+                break
+        else:
+            pytest.fail("dense Sinkhorn did not converge")
+        v_plain = float(np.sum(u[:, None] * K * v[None, :] * cost.matrix))
         assert abs(v_log - v_plain) < 1e-6
-
-    def test_plain_path_underflow_detected(self):
-        m = 12
-        a = point_mass(m, 0, 0)
-        b = point_mass(m, m - 1, m - 1)
-        with pytest.raises(UnderflowDetected):
-            sinkhorn_distance(a, b, GroundCost(m),
-                              SinkhornConfig(lam=50000.0, log_domain=False))
 
     def test_convergence_failure_carries_diagnostics(self, rng):
         a = random_histogram(rng, 10)
@@ -353,51 +354,29 @@ class TestBatchedValues:
             assert np.array_equal(batched, swapped)
             assert np.array_equal(batched, single)
 
-    def test_batched_entry_points_honour_plain_domain(self, rng):
-        m = 12
-        a = point_mass(m, 0, 0)
-        b = point_mass(m, m - 1, m - 1)
-        cfg = SinkhornConfig(lam=50000.0, log_domain=False)
-        with pytest.raises(UnderflowDetected):
-            sinkhorn_values_batch([a, b], [b, a], GroundCost(m), cfg)
-        with pytest.raises(UnderflowDetected):
-            pairwise_distance_matrix([a, b], GroundCost(m), cfg)
+    def test_nan_residual_names_failing_problem(self, rng, monkeypatch):
+        # A NaN residual must fail its problem, not pass as converged. No
+        # known input drives the solver to one, so a wrapped loop plants it
+        # in the second chunk; a real NaN never stalls.
+        real_loop = transport._scaling_loop
 
-        m = 6
-        cost = GroundCost(m)
-        cfg = SinkhornConfig(lam=100.0, tol=1e-8, log_domain=False)
-        pool = ([random_histogram(rng, m, concentration=2.0) for _ in range(3)]
-                + [random_sample_copula(rng, m, T=30) for _ in range(2)])
-        rs = [pool[i] for i in range(len(pool)) for j in range(len(pool))]
-        cs = [pool[j] for i in range(len(pool)) for j in range(len(pool))]
-        batched = sinkhorn_values_batch(rs, cs, cost, cfg)
-        single = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in zip(rs, cs)]
-        assert np.array_equal(batched, single)
-        assert np.array_equal(batched, sinkhorn_values_batch(cs, rs, cost, cfg))
+        def nan_loop(*args):
+            lu, lv, residuals, it, stalled = real_loop(*args)
+            if len(residuals) == 6:
+                residuals[2] = np.nan
+                stalled[2] = False
+            return lu, lv, residuals, it, stalled
 
-    def test_underflow_names_failing_problems(self, rng):
-        m = 12
-        cost = GroundCost(m)
-        cfg = SinkhornConfig(lam=1000.0, log_domain=False)
-        corner_a, corner_b = point_mass(m, 0, 0), point_mass(m, m - 1, m - 1)
-        # a point mass against itself stays in float64 range at this
-        # sharpness, so only the corner pair at position 66 (in the second
-        # chunk) underflows
-        rs = [point_mass(m, 2, 3)] * 70
-        cs = list(rs)
-        rs[66], cs[66] = corner_a, corner_b
-        with pytest.raises(UnderflowDetected) as err:
+        monkeypatch.setattr(transport, "_scaling_loop", nan_loop)
+        m = 4
+        cost, cfg = GroundCost(m), SinkhornConfig(lam=default_lambda(m))
+        rs = [random_histogram(rng, m) for _ in range(70)]
+        cs = [random_histogram(rng, m) for _ in range(70)]
+        with pytest.raises(ConvergenceFailure) as err:
             sinkhorn_values_batch(rs, cs, cost, cfg)
-        assert isinstance(err.value, ConvergenceFailure)
         assert err.value.pair == (66,)
-        with pytest.raises(UnderflowDetected) as err:
-            pairwise_distance_matrix([rs[0], corner_a, rs[0], corner_b, corner_a], cost, cfg)
-        assert err.value.pair == ((1, 3), (3, 4))
-        # random histograms stay in range against each other
-        a, b = random_histogram(rng, m), random_histogram(rng, m)
-        assert sinkhorn_values_batch([a, b], [b, a], cost, cfg).shape == (2,)
 
-    def test_scaling_loop_reuses_kernel_applications(self, rng):
+    def test_scaling_loop_reuses_kernel_applications(self, rng, monkeypatch):
         # one application before the loop, then one per half-step; the
         # residual checks apply the kernel no further
         m = 6
@@ -411,10 +390,11 @@ class TestBatchedValues:
             calls += 1
             return _log_kernel_apply(k, lw)
 
+        monkeypatch.setattr(transport, "_log_kernel_apply", counting_kernel)
         lr, lc = transport._safe_log(R), transport._safe_log(C)
         k = _kernel(-default_lambda(m) * cost.axis_cost)
         *_, it, _ = transport._scaling_loop(k, lr, lc, R, C, 1e-6, 500, np.zeros_like(R),
-                                            np.zeros_like(C), counting_kernel)
+                                            np.zeros_like(C))
         assert it > transport._CHECK_EVERY
         assert calls == 1 + 2 * it
 
@@ -590,28 +570,27 @@ class TestDeficitClosure:
     def test_lp_closed_plans_have_exact_marginals_in_both_orders(self, rng):
         # A plan solved in the swapped orientation stores its LP closure
         # transposed; marginals() and dense() must still describe the
-        # caller's direction, in either domain.
+        # caller's direction.
         m = 8
         cost = GroundCost(m)
         pairs = [(random_sample_copula(rng, m, T=64), random_sample_copula(rng, m, T=64))
                  for _ in range(8)]
-        for log_domain in (True, False):
-            cfg = SinkhornConfig(lam=default_lambda(m), log_domain=log_domain)
-            closed = {False: 0, True: 0}
-            for a, b in pairs:
-                for r, c in ((a, b), (b, a)):
-                    value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
-                    if plan.correction is None:
-                        continue
-                    closed[bool(_lex_swap_mask(r.mass[None], c.mass[None])[0])] += 1
-                    row, col = plan.marginals()
-                    assert np.abs(row - r.mass).max() < 1e-11
-                    assert np.abs(col - c.mass).max() < 1e-11
-                    dense = plan.dense()
-                    assert np.abs(dense.sum(axis=1) - r.mass.ravel()).max() < 1e-11
-                    assert np.abs(dense.sum(axis=0) - c.mass.ravel()).max() < 1e-11
-                    assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
-            assert closed[False] > 0 and closed[True] > 0
+        cfg = SinkhornConfig(lam=default_lambda(m))
+        closed = {False: 0, True: 0}
+        for a, b in pairs:
+            for r, c in ((a, b), (b, a)):
+                value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
+                if plan.correction is None:
+                    continue
+                closed[bool(_lex_swap_mask(r.mass[None], c.mass[None])[0])] += 1
+                row, col = plan.marginals()
+                assert np.abs(row - r.mass).max() < 1e-11
+                assert np.abs(col - c.mass).max() < 1e-11
+                dense = plan.dense()
+                assert np.abs(dense.sum(axis=1) - r.mass.ravel()).max() < 1e-11
+                assert np.abs(dense.sum(axis=0) - c.mass.ravel()).max() < 1e-11
+                assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
+        assert closed[False] > 0 and closed[True] > 0
 
     def test_lp_failure_reaches_batched_callers(self, rng, monkeypatch):
         # A failed closure LP names its problem, which batched callers remap
