@@ -1,8 +1,10 @@
 """Subcommand CLI tying the pipeline together.
 
-Commands: copula, dist, cluster, tfdc, query, synth, power. Every run writes
-its artifacts plus a run-meta.json manifest recording all parameters. Exit
-codes: 0 success, 2 parse/config error, 3 convergence failure, 4 I/O error.
+Commands: copula, dist, cluster, tfdc, query, synth, power. `main` does what
+every command shares: it reads `--input` for a table command, creates
+`--out`, runs the command and writes a run-meta.json manifest recording all
+parameters, plus any extra fields the command returns. Exit codes: 0
+success, 2 parse/config error, 3 convergence failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -52,27 +54,21 @@ def _add_transport_flags(p: argparse.ArgumentParser):
                    help="iteration cap (default 10000)")
 
 
-def _add_out_flag(p: argparse.ArgumentParser):
-    p.add_argument("--out", type=Path, required=True, help="output directory")
-
-
 def _sinkhorn_config(args) -> SinkhornConfig:
     lam = args.lam if args.lam is not None else default_lambda(args.m)
     return SinkhornConfig(lam=lam, max_iter=args.max_iter, tol=args.tol)
 
 
-def _pair_labels(table):
-    return [
+def _pair_copulas(table, m):
+    """(labels, copulas) of every column pair i < j; a label is (i, j, name_i, name_j)."""
+    labels = [
         (i, j, table.names[i], table.names[j])
         for i in range(table.N)
         for j in range(i + 1, table.N)
     ]
-
-
-def _pair_copulas(table, m):
-    return [
+    return labels, [
         empirical_copula_from_data(table.column(i), table.column(j), m)
-        for i, j, _, _ in _pair_labels(table)
+        for i, j, _, _ in labels
     ]
 
 
@@ -81,44 +77,27 @@ def _manifest_params(args):
             for key, value in sorted(vars(args).items()) if key != "func"}
 
 
-def _prepare_out(args) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
-    return args.out
-
-
-def cmd_copula(args) -> None:
-    table = load_csv(args.input)
-    out = _prepare_out(args)
-    labels = _pair_labels(table)
+def cmd_copula(args, table, out):
+    labels, hists = _pair_copulas(table, args.m)
     rows = []
-    for pair_id, ((i, j, ni, nj), cop) in enumerate(
-        zip(labels, _pair_copulas(table, args.m))
-    ):
+    for pair_id, ((i, j, ni, nj), cop) in enumerate(zip(labels, hists)):
         fname = f"pair_{pair_id:04d}.cop"
         write_cop(cop, out / fname)
         rows.append((pair_id, i, j, ni, nj, fname))
     write_csv_atomic(out / "pairs.csv",
                      ["pair_id", "i", "j", "name_i", "name_j", "file"], rows)
-    write_run_manifest(out, "copula", _manifest_params(args))
 
 
-def cmd_dist(args) -> None:
-    table = load_csv(args.input)
-    out = _prepare_out(args)
-    labels = _pair_labels(table)
-    hists = _pair_copulas(table, args.m)
+def cmd_dist(args, table, out):
+    labels, hists = _pair_copulas(table, args.m)
     matrix = pairwise_distance_matrix(hists, GroundCost(args.m), _sinkhorn_config(args))
     tags = [f"{ni}|{nj}" for _, _, ni, nj in labels]
     rows = [[tags[r]] + [float(v) for v in matrix[r]] for r in range(len(tags))]
     write_csv_atomic(out / "distance-matrix.csv", ["pair"] + tags, rows)
-    write_run_manifest(out, "dist", _manifest_params(args))
 
 
-def cmd_cluster(args) -> None:
-    table = load_csv(args.input)
-    out = _prepare_out(args)
-    labels = _pair_labels(table)
-    hists = _pair_copulas(table, args.m)
+def cmd_cluster(args, table, out):
+    labels, hists = _pair_copulas(table, args.m)
     model = cluster_copulas(hists, args.k, GroundCost(args.m), _sinkhorn_config(args),
                             seed=args.seed, max_rounds=args.max_rounds)
     for cid, centroid in enumerate(model.centroids):
@@ -130,8 +109,7 @@ def cmd_cluster(args) -> None:
     ]
     write_csv_atomic(out / "assignment.csv",
                      ["pair_i", "pair_j", "cluster", "distance_to_centroid"], rows)
-    write_run_manifest(out, "cluster", _manifest_params(args),
-                       extra={"objective_trace": list(model.objective_trace)})
+    return {"objective_trace": list(model.objective_trace)}
 
 
 def _load_cop_set(paths, m):
@@ -144,9 +122,7 @@ def _load_cop_set(paths, m):
     return tuple(hists)
 
 
-def cmd_tfdc(args) -> None:
-    table = load_csv(args.input)
-    out = _prepare_out(args)
+def cmd_tfdc(args, table, out):
     spec = TFDCSpec(
         targets=_load_cop_set(args.targets, args.m),
         forgets=_load_cop_set(args.forgets, args.m),
@@ -162,17 +138,11 @@ def cmd_tfdc(args) -> None:
             matrix[i, j] = matrix[j, i] = tfdc(cop, spec)
     rows = [[table.names[i]] + [float(v) for v in matrix[i]] for i in range(n)]
     write_csv_atomic(out / "tfdc-matrix.csv", ["variable"] + list(table.names), rows)
-    write_run_manifest(out, "tfdc", _manifest_params(args))
 
 
-def cmd_query(args) -> None:
-    table = load_csv(args.input)
-    out = _prepare_out(args)
-    target = read_cop(args.target)
-    if target.m != args.m:
-        raise InvalidData(f"target resolution {target.m} does not match --m {args.m}")
-    labels = _pair_labels(table)
-    hists = _pair_copulas(table, args.m)
+def cmd_query(args, table, out):
+    (target,) = _load_cop_set([args.target], args.m)
+    labels, hists = _pair_copulas(table, args.m)
     values = sinkhorn_values_batch(hists, [target] * len(hists), GroundCost(args.m),
                                    _sinkhorn_config(args))
     order = np.argsort(values, kind="stable")
@@ -182,11 +152,9 @@ def cmd_query(args) -> None:
     ]
     write_csv_atomic(out / "ranking.csv",
                      ["rank", "pair_i", "pair_j", "distance"], rows)
-    write_run_manifest(out, "query", _manifest_params(args))
 
 
-def cmd_synth(args) -> None:
-    out = _prepare_out(args)
+def cmd_synth(args, table, out):
     spec = ScenarioSpec(
         kind=args.kind, T=args.T, seed=args.seed, a=args.a, offset=args.offset,
         pattern=args.pattern, noise_level=args.noise_level, rho=args.rho,
@@ -194,11 +162,9 @@ def cmd_synth(args) -> None:
     x, y = generate(spec)
     write_csv_atomic(out / "data.csv", ["x", "y"],
                      [(float(a), float(b)) for a, b in zip(x, y)])
-    write_run_manifest(out, "synth", _manifest_params(args))
 
 
-def cmd_power(args) -> None:
-    out = _prepare_out(args)
+def cmd_power(args, table, out):
     patterns = args.patterns.split(",")
     noise_levels = [float(v) for v in args.noise_levels.split(",")]
     coefficients = args.coefficients.split(",")
@@ -219,8 +185,17 @@ def cmd_power(args) -> None:
     write_csv_atomic(out / "power.csv",
                      ["pattern", "noise", "coefficient", "power",
                       "n_sims", "sample_size", "seed"], rows)
-    write_run_manifest(out, "power", _manifest_params(args),
-                       extra={"rejection_level": 0.05, "null_protocol": "permutation"})
+    return {"rejection_level": 0.05, "null_protocol": "permutation"}
+
+
+def _command(sub, name, func, help, table=True):
+    """Add subcommand `name` with `--out`, `--input` if it reads a table, and `func`."""
+    p = sub.add_parser(name, help=help)
+    if table:
+        p.add_argument("--input", type=Path, required=True)
+    p.add_argument("--out", type=Path, required=True, help="output directory")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,46 +207,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"coptrans {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("copula", help="write empirical copula .cop files for all pairs")
-    p.add_argument("--input", type=Path, required=True)
+    p = _command(sub, "copula", cmd_copula, "write empirical copula .cop files for all pairs")
     _add_m_flag(p)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_copula)
 
-    p = sub.add_parser("dist", help="pairwise transport distance matrix over pair copulas")
-    p.add_argument("--input", type=Path, required=True)
+    p = _command(sub, "dist", cmd_dist, "pairwise transport distance matrix over pair copulas")
     _add_transport_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("cluster", help="k-means over pair copulas with barycenter centroids")
-    p.add_argument("--input", type=Path, required=True)
+    p = _command(sub, "cluster", cmd_cluster,
+                 "k-means over pair copulas with barycenter centroids")
     _add_transport_flags(p)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-rounds", type=int, default=100)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("tfdc", help="target/forget coefficient matrix for all variable pairs")
-    p.add_argument("--input", type=Path, required=True)
+    p = _command(sub, "tfdc", cmd_tfdc,
+                 "target/forget coefficient matrix for all variable pairs")
     _add_transport_flags(p)
     p.add_argument("--targets", type=Path, nargs="+", required=True,
                    help=".cop files of target copulas")
     p.add_argument("--forgets", type=Path, nargs="+", required=True,
                    help=".cop files of forget copulas")
     p.add_argument("--debias", action="store_true")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_tfdc)
 
-    p = sub.add_parser("query", help="rank pairs by distance to a target copula")
-    p.add_argument("--input", type=Path, required=True)
+    p = _command(sub, "query", cmd_query, "rank pairs by distance to a target copula")
     _add_transport_flags(p)
     p.add_argument("--target", type=Path, required=True, help="target .cop file")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("synth", help="generate a synthetic (x, y) dataset")
+    p = _command(sub, "synth", cmd_synth, "generate a synthetic (x, y) dataset", table=False)
     p.add_argument("--kind", required=True,
                    choices=["discontinuity", "noisy_parabola", "power_pattern",
                             "gaussian_pair"])
@@ -282,10 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default="linear", choices=list(POWER_PATTERNS))
     p.add_argument("--noise-level", type=float, default=0.0)
     p.add_argument("--rho", type=float, default=0.0)
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("power", help="power benchmark against the permutation null")
+    p = _command(sub, "power", cmd_power, "power benchmark against the permutation null",
+                 table=False)
     p.add_argument("--patterns", default=",".join(POWER_PATTERNS))
     p.add_argument("--noise-levels", default="0,0.5,1,1.5,2,2.5,3")
     p.add_argument("--coefficients",
@@ -293,11 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sims", type=int, default=100)
     p.add_argument("--sample-size", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--m", type=int, default=20)
+    _add_m_flag(p)
     p.add_argument("--t-ref", type=int, default=100_000)
     p.add_argument("--debias", action="store_true")
-    _add_out_flag(p)
-    p.set_defaults(func=cmd_power)
 
     return parser
 
@@ -306,7 +265,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # the table is read before --out exists, so a bad --input leaves no directory
+        table = load_csv(args.input) if hasattr(args, "input") else None
+        args.out.mkdir(parents=True, exist_ok=True)
+        extra = args.func(args, table, args.out)
+        write_run_manifest(args.out, args.command, _manifest_params(args), extra=extra)
     except ConvergenceFailure as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .copula import CopulaHistogram
-from .errors import InvalidData, InvalidParameter
+from .errors import ConvergenceFailure, InvalidData, InvalidParameter
 from .transport import (
     GroundCost,
     SinkhornConfig,
@@ -61,14 +61,22 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
     max_rounds is hit. Because both the distances and the barycenter are
     entropic approximations, an update step can raise the recorded objective
     by up to the entropic evaluation gap (roughly the kernel blur cost);
-    exact-transport Lloyd descent holds only up to that gap. An emptied
-    cluster is re-seeded from the histogram farthest from its current
-    centroid. Deterministic given the seed.
+    exact-transport Lloyd descent holds only up to that gap.
+
+    k may not exceed the number of bitwise-distinct histograms, since equal
+    histograms always share a cluster. After each assignment the lowest
+    empty cluster is re-seeded with the histogram farthest from its current
+    centroid and every cluster is checked again, at most k re-seeds per
+    round; a cluster still empty after them raises ConvergenceFailure.
+    Deterministic given the seed.
     """
     hists = list(hists)
     n = len(hists)
-    if not 1 <= k <= n:
-        raise InvalidData(f"need 1 <= k <= {n}, got k={k}")
+    distinct = len({h.mass.tobytes() for h in hists})
+    if not 1 <= k <= distinct:
+        raise InvalidData(
+            f"need 1 <= k <= {distinct}, the number of distinct histograms "
+            f"among {n}, got k={k}")
     if max_rounds < 1:
         raise InvalidParameter(f"max_rounds must be >= 1, got {max_rounds}")
     rng = np.random.default_rng(seed)
@@ -92,10 +100,16 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
     trace: list[float] = []
     for _ in range(max_rounds):
         new_assignment = d.argmin(axis=1)
-        for cid in range(k):
-            if np.any(new_assignment == cid):
-                continue
-            # re-seed the empty cluster with the worst-served histogram
+        for reseeds in range(k + 1):
+            empty = np.flatnonzero(np.bincount(new_assignment, minlength=k) == 0)
+            if empty.size == 0:
+                break
+            if reseeds == k:
+                raise ConvergenceFailure(
+                    f"clusters {empty.tolist()} still empty after {k} re-seeds")
+            # re-seed the lowest empty cluster with the worst-served histogram;
+            # that can empty a cluster that was full, so all are checked again
+            cid = int(empty[0])
             worst = int(np.argmax(d[np.arange(n), new_assignment]))
             centroids[cid] = hists[worst]
             d[:, cid] = _distances_to_centroids(hists, [centroids[cid]], cost, cfg)[:, 0]

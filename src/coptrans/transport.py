@@ -331,10 +331,8 @@ def _round_to_polytope(k, lr, lc, R, C, lu, lv):
 
 
 def _rank_one_cost(axis_cost, err_r, err_c):
-    """<outer(err_r, err_c) / sum(err_r), M> for the separable squared cost."""
+    """<outer(err_r, err_c) / sum(err_r), M> for the separable squared cost; sum(err_r) > 0."""
     s = err_r.sum()
-    if s <= 0.0:
-        return 0.0
     num = (
         err_r.sum(axis=1) @ axis_cost @ err_c.sum(axis=1)
         + err_r.sum(axis=0) @ axis_cost @ err_c.sum(axis=0)
@@ -525,8 +523,6 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     lu = np.zeros_like(R)
     schedule = _anneal_schedule(cfg.lam, cost.m)
     total_iters = 0
-    residuals = np.full(R.shape[0], np.inf)
-    stalled = np.zeros(R.shape[0], dtype=bool)
     for stage, lam_s in enumerate(schedule):
         k = _kernel(-lam_s * cost.axis_cost)
         last = stage == len(schedule) - 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from coptrans import (
+    ConvergenceFailure,
+    CopulaHistogram,
     GroundCost,
     InvalidData,
     InvalidParameter,
@@ -14,6 +16,7 @@ from coptrans import (
     empirical_copula_from_data,
     wasserstein_barycenter,
 )
+from coptrans import clustering
 from coptrans.transport import sinkhorn_values_batch
 
 M_GRID = 8
@@ -25,6 +28,12 @@ def monotone_family(rng, n, sign, noise=0.1, T=400):
         x = rng.uniform(size=T)
         out.append(empirical_copula_from_data(x, sign * x + noise * rng.standard_normal(T), M_GRID))
     return out
+
+
+def near_point_mass(m, i, j):
+    mass = np.full((m, m), 1e-3)
+    mass[i, j] += 1.0
+    return CopulaHistogram(mass / mass.sum())
 
 
 @pytest.fixture
@@ -145,6 +154,42 @@ class TestClusterCopulas:
         cost, cfg = cost_cfg
         with pytest.raises(InvalidParameter):
             cluster_copulas(mw_hists, 2, cost, cfg, seed=0, max_rounds=0)
+
+    def test_k_above_distinct_histograms_rejected(self, mw_hists, cost_cfg):
+        # equal histograms always share a cluster, so the third would stay empty
+        cost, cfg = cost_cfg
+        h, g = mw_hists[0], mw_hists[3]
+        with pytest.raises(InvalidData, match="k <= 2, the number of distinct histograms"):
+            cluster_copulas([h, h, g], 3, cost, cfg, seed=0)
+
+    def test_reseed_rechecks_every_cluster(self, monkeypatch):
+        # These barycenters land far from their members, so a later re-seed
+        # empties a cluster that was full when it was checked.
+        m = 6
+        hists = [near_point_mass(m, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (5, 5), (5, 4))]
+        moved = {id(hists[3]): near_point_mass(m, 2, 2),
+                 id(hists[4]): near_point_mass(m, 0, 5)}
+        real = clustering.wasserstein_barycenter
+
+        def barycenter(members, weights, cost, cfg):
+            if len(members) == 1 and id(members[0]) in moved:
+                return moved[id(members[0])]
+            return real(members, weights, cost, cfg)
+
+        monkeypatch.setattr(clustering, "wasserstein_barycenter", barycenter)
+        model = cluster_copulas(hists, 3, GroundCost(m), SinkhornConfig(lam=default_lambda(m)),
+                                seed=2, max_rounds=3)
+        assert np.bincount(model.assignment, minlength=3).min() >= 1
+
+    def test_reseeds_end_when_a_cluster_stays_empty(self, mw_hists, cost_cfg, monkeypatch):
+        # all-zero distances send every histogram to cluster 0 whatever the re-seed
+        def zero_distances(hists, centroids, cost, cfg):
+            return np.zeros((len(hists), len(centroids)))
+
+        monkeypatch.setattr(clustering, "_distances_to_centroids", zero_distances)
+        cost, cfg = cost_cfg
+        with pytest.raises(ConvergenceFailure, match="still empty after 2 re-seeds"):
+            cluster_copulas(mw_hists, 2, cost, cfg, seed=0)
 
 
 class TestCentroidReport:

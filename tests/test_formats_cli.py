@@ -21,7 +21,7 @@ from coptrans import (
     write_heatmap,
 )
 from coptrans import ConvergenceFailure, transport
-from coptrans.cli import main
+from coptrans.cli import build_parser, main
 
 
 def write_lines(path, lines):
@@ -126,6 +126,26 @@ def dataset(tmp_path):
     rows = ["x,y,z"] + [f"{a},{b},{c}" for a, b, c in zip(x, y, z)]
     write_lines(f, rows)
     return f
+
+
+# One small run of each subcommand; DATA, UP and PI stand for input files.
+CLI_RUNS = [
+    ["copula", "--input", "DATA", "--m", "6"],
+    ["dist", "--input", "DATA", "--m", "6"],
+    ["cluster", "--input", "DATA", "--m", "6", "--k", "2", "--seed", "5"],
+    ["tfdc", "--input", "DATA", "--m", "6", "--targets", "UP", "--forgets", "PI", "--debias"],
+    ["query", "--input", "DATA", "--m", "6", "--target", "UP"],
+    ["synth", "--kind", "gaussian_pair", "--T", "50", "--seed", "1"],
+    ["power", "--patterns", "linear", "--noise-levels", "0", "--coefficients", "pearson",
+     "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
+]
+
+
+def fill_cli_run(argv, data, tmp_path):
+    files = {"DATA": data, "UP": tmp_path / "up.cop", "PI": tmp_path / "pi.cop"}
+    write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 6)), files["UP"])
+    write_cop(reference_copula(TargetBuilderSpec("independence", 6)), files["PI"])
+    return [str(files.get(a, a)) for a in argv] + ["--out", str(tmp_path / "o")]
 
 
 class TestCli:
@@ -282,6 +302,39 @@ class TestCli:
         argv = [str(dataset) if a == "DATA" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: argv[0])
+    def test_manifest_records_command_and_every_option(self, dataset, tmp_path, argv):
+        argv = fill_cli_run(argv, dataset, tmp_path)
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "o" / "run-meta.json").read_text())
+        parsed = vars(build_parser().parse_args(argv))
+        del parsed["func"]
+        assert meta["command"] == argv[0]
+        assert meta["parameters"] == json.loads(json.dumps(parsed, default=str))
+
+    @pytest.mark.parametrize("argv", [a for a in CLI_RUNS if "--input" in a],
+                             ids=lambda argv: argv[0])
+    def test_missing_input_exits_2_and_creates_no_out_dir(self, tmp_path, argv, capsys):
+        assert main(fill_cli_run(argv, tmp_path / "missing.csv", tmp_path)) == 2
+        assert "missing.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_query_target_of_another_resolution_exits_2(self, dataset, tmp_path, capsys):
+        write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 6)), tmp_path / "up.cop")
+        assert main(["query", "--input", str(dataset), "--m", "8",
+                     "--target", str(tmp_path / "up.cop"), "--out", str(tmp_path / "q")]) == 2
+        assert "resolution 6 does not match --m 8" in capsys.readouterr().err
+
+    def test_cluster_k_above_distinct_copulas_exits_2(self, tmp_path, capsys):
+        # b = exp(a) has the ranks of a, so pairs a|c and b|c have equal copulas
+        rng = np.random.default_rng(0)
+        a, c = rng.standard_normal(300), rng.standard_normal(300)
+        f = tmp_path / "data.csv"
+        write_lines(f, ["a,b,c"] + [f"{x},{np.exp(x)},{z}" for x, z in zip(a, c)])
+        assert main(["cluster", "--input", str(f), "--m", "8", "--k", "3", "--seed", "5",
+                     "--out", str(tmp_path / "cl")]) == 2
+        assert "k <= 2, the number of distinct histograms among 3" in capsys.readouterr().err
+
     def test_exit_code_convergence_failure(self, dataset, tmp_path, monkeypatch, capsys):
         def failing_lp(*args, **kwargs):
             raise ConvergenceFailure("transport LP failed: stub")
@@ -297,7 +350,7 @@ class TestCli:
         script = f"""
 import sys
 import coptrans
-from coptrans.cli import main
+from coptrans.cli import build_parser, main
 assert "scipy.stats" not in sys.modules, "import coptrans"
 assert main(["dist", "--input", {str(dataset)!r}, "--m", "6",
              "--out", {str(tmp_path / "dist")!r}]) == 0

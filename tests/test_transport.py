@@ -570,27 +570,34 @@ class TestDeficitClosure:
     def test_lp_closed_plans_have_exact_marginals_in_both_orders(self, rng):
         # A plan solved in the swapped orientation stores its LP closure
         # transposed; marginals() and dense() must still describe the
-        # caller's direction.
-        m = 8
-        cost = GroundCost(m)
-        pairs = [(random_sample_copula(rng, m, T=64), random_sample_copula(rng, m, T=64))
-                 for _ in range(8)]
-        cfg = SinkhornConfig(lam=default_lambda(m))
-        closed = {False: 0, True: 0}
-        for a, b in pairs:
-            for r, c in ((a, b), (b, a)):
-                value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
-                if plan.correction is None:
-                    continue
-                closed[bool(_lex_swap_mask(r.mass[None], c.mass[None])[0])] += 1
-                row, col = plan.marginals()
-                assert np.abs(row - r.mass).max() < 1e-11
-                assert np.abs(col - c.mass).max() < 1e-11
-                dense = plan.dense()
-                assert np.abs(dense.sum(axis=1) - r.mass.ravel()).max() < 1e-11
-                assert np.abs(dense.sum(axis=0) - c.mass.ravel()).max() < 1e-11
-                assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
-        assert closed[False] > 0 and closed[True] > 0
+        # caller's direction. At m=16 the deficit supports exceed
+        # _CLOSURE_LP_LIMIT, so those plans are closed rank-one.
+        closed = {}
+        for m, T, n_pairs in ((8, 64, 8), (16, 400, 4)):
+            cost = GroundCost(m)
+            pairs = [(random_sample_copula(rng, m, T=T), random_sample_copula(rng, m, T=T))
+                     for _ in range(n_pairs)]
+            cfg = SinkhornConfig(lam=default_lambda(m))
+            for a, b in pairs:
+                for r, c in ((a, b), (b, a)):
+                    value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
+                    if plan.correction is not None:
+                        closure = "lp"
+                    elif plan.err_r.sum() > 1e-12:
+                        closure = "rank-one"
+                    else:
+                        continue
+                    key = (closure, bool(_lex_swap_mask(r.mass[None], c.mass[None])[0]))
+                    closed[key] = closed.get(key, 0) + 1
+                    row, col = plan.marginals()
+                    assert np.abs(row - r.mass).max() < 1e-11
+                    assert np.abs(col - c.mass).max() < 1e-11
+                    dense = plan.dense()
+                    assert np.abs(dense.sum(axis=1) - r.mass.ravel()).max() < 1e-11
+                    assert np.abs(dense.sum(axis=0) - c.mass.ravel()).max() < 1e-11
+                    assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
+        assert set(closed) == {(closure, swapped) for closure in ("lp", "rank-one")
+                               for swapped in (False, True)}
 
     def test_lp_failure_reaches_batched_callers(self, rng, monkeypatch):
         # A failed closure LP names its problem, which batched callers remap
@@ -750,6 +757,13 @@ class TestBarycenter:
         with pytest.raises(InvalidData):
             wasserstein_barycenter([h, h], [0.7, 0.7], GroundCost(6),
                                    SinkhornConfig(lam=10.0))
+
+    def test_iteration_cap_raises_with_residual(self, rng):
+        cfg = SinkhornConfig(lam=default_lambda(6), max_iter=1)
+        with pytest.raises(ConvergenceFailure, match="iteration cap") as err:
+            wasserstein_barycenter([random_histogram(rng, 6), random_histogram(rng, 6)],
+                                   [0.5, 0.5], GroundCost(6), cfg)
+        assert err.value.residual >= cfg.tol
 
 
 class TestPairwiseDistanceMatrix:
