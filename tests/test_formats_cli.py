@@ -350,7 +350,7 @@ class TestCli:
         script = f"""
 import sys
 import coptrans
-from coptrans.cli import build_parser, main
+from coptrans.cli import main
 assert "scipy.stats" not in sys.modules, "import coptrans"
 assert main(["dist", "--input", {str(dataset)!r}, "--m", "6",
              "--out", {str(tmp_path / "dist")!r}]) == 0
