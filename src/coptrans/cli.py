@@ -3,8 +3,10 @@
 Commands: copula, dist, cluster, tfdc, query, synth, power. `main` does what
 every command shares: it reads `--input` for a table command, creates
 `--out`, runs the command and writes a run-meta.json manifest recording all
-parameters, plus any extra fields the command returns. Exit codes: 0
-success, 2 parse/config error, 3 convergence failure, 4 I/O error.
+parameters, plus any extra fields the command returns. When a command fails,
+an `--out` that `main` created and that is still empty is removed again.
+Exit codes: 0 success, 2 parse/config error, 3 convergence failure, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -264,6 +266,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out_existed = args.out.exists()
+    code = _run(args)
+    if code and not out_existed:
+        # a failed command leaves no empty --out of its own making; rmdir
+        # removes only an empty directory, never a file the command wrote
+        try:
+            args.out.rmdir()
+        except OSError:
+            pass
+    return code
+
+
+def _run(args) -> int:
+    """Run the parsed command; returns the exit code."""
     try:
         # the table is read before --out exists, so a bad --input leaves no directory
         table = load_csv(args.input) if hasattr(args, "input") else None

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s`. Every tolerance is pinned
-here; nothing defers to later calibration. The suite is seeded end to end
-and the library is single-threaded by construction, so results do not
-depend on scheduling or thread counts.
+here; nothing defers to later calibration. The suite is seeded end to end.
+The library solves closure LPs on as many threads as the process has CPUs,
+but each result is a pure function of its own inputs, so results do not
+depend on scheduling or thread counts; criterion 9 checks that.
 """
 
 import itertools
@@ -317,13 +318,19 @@ def test_criterion_8_power_harness():
             assert res_t.power >= res_d.power
 
 
-def _run_cli(args, env_threads):
+def _one_cpu():
+    """Pin the calling process to one of its CPUs (run in the child only)."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _run_cli(args, env_threads, one_cpu=False):
     env = dict(os.environ)
     env["OMP_NUM_THREADS"] = env_threads
     env["OPENBLAS_NUM_THREADS"] = env_threads
     proc = subprocess.run(
         [sys.executable, "-m", "coptrans.cli", *args],
         capture_output=True, text=True, env=env,
+        preexec_fn=_one_cpu if one_cpu else None,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -363,3 +370,11 @@ def test_criterion_9_cli_determinism(tmp_path):
                 "power": (base / "power" / "power.csv").read_bytes(),
             }
         assert artifacts["r1"] == artifacts["r2"]
+        # with one usable CPU the closure LPs all run on the calling thread
+        if sys.platform.startswith("linux"):
+            one = tmp_path / "r3" / "cluster"
+            _run_cli(["cluster", "--input", str(data), "--m", "8", "--k", "2",
+                      "--seed", "5", "--out", str(one)], "1", one_cpu=True)
+            for f in (tmp_path / "r1" / "cluster").iterdir():
+                if f.name != "run-meta.json":
+                    assert (one / f.name).read_bytes() == f.read_bytes(), f.name

@@ -325,15 +325,35 @@ class TestCli:
                      "--target", str(tmp_path / "up.cop"), "--out", str(tmp_path / "q")]) == 2
         assert "resolution 6 does not match --m 8" in capsys.readouterr().err
 
-    def test_cluster_k_above_distinct_copulas_exits_2(self, tmp_path, capsys):
+    @staticmethod
+    def twin_copula_table(path):
         # b = exp(a) has the ranks of a, so pairs a|c and b|c have equal copulas
         rng = np.random.default_rng(0)
         a, c = rng.standard_normal(300), rng.standard_normal(300)
-        f = tmp_path / "data.csv"
-        write_lines(f, ["a,b,c"] + [f"{x},{np.exp(x)},{z}" for x, z in zip(a, c)])
+        write_lines(path, ["a,b,c"] + [f"{x},{np.exp(x)},{z}" for x, z in zip(a, c)])
+        return path
+
+    def test_cluster_k_above_distinct_copulas_exits_2(self, tmp_path, capsys):
+        f = self.twin_copula_table(tmp_path / "data.csv")
         assert main(["cluster", "--input", str(f), "--m", "8", "--k", "3", "--seed", "5",
                      "--out", str(tmp_path / "cl")]) == 2
         assert "k <= 2, the number of distinct histograms among 3" in capsys.readouterr().err
+
+    def test_failed_command_removes_only_an_out_dir_it_made(self, tmp_path):
+        f = self.twin_copula_table(tmp_path / "data.csv")
+        argv = ["cluster", "--input", str(f), "--m", "8", "--k", "3", "--seed", "5", "--out"]
+        made = tmp_path / "made"
+        assert main(argv + [str(made)]) == 2
+        assert not made.exists()
+        # a directory that was there before the run stays, with its files
+        kept_empty, kept_full = tmp_path / "empty", tmp_path / "full"
+        kept_empty.mkdir()
+        kept_full.mkdir()
+        (kept_full / "notes.txt").write_text("keep")
+        for out in (kept_empty, kept_full):
+            assert main(argv + [str(out)]) == 2
+        assert kept_empty.is_dir() and not any(kept_empty.iterdir())
+        assert (kept_full / "notes.txt").read_text() == "keep"
 
     def test_exit_code_convergence_failure(self, dataset, tmp_path, monkeypatch, capsys):
         def failing_lp(*args, **kwargs):
@@ -344,6 +364,7 @@ class TestCli:
                      "--seed", "5", "--out", str(tmp_path / "cl")])
         assert code == 3
         assert "transport LP failed" in capsys.readouterr().err
+        assert not (tmp_path / "cl").exists()
 
     def test_commands_do_not_import_scipy_stats(self, dataset, tmp_path):
         # A fresh interpreter, since this one may have loaded scipy.stats already.

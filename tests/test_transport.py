@@ -1,4 +1,5 @@
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -26,7 +27,7 @@ from coptrans import (
 )
 from coptrans import transport
 from coptrans.transport import (
-    _close_deficit,
+    _close_deficits,
     _kernel,
     _lex_swap_mask,
     _log_kernel_apply,
@@ -40,6 +41,17 @@ def point_mass(m, i, j):
     g = np.zeros((m, m))
     g[i, j] = 1.0
     return CopulaHistogram(g)
+
+
+def as_bytes(result):
+    """Every array of a nested result as (dtype, shape, bytes), so that two
+    results compare equal only when they are equal bit for bit."""
+    if isinstance(result, (tuple, list)):
+        return [as_bytes(part) for part in result]
+    if result is None or isinstance(result, int):
+        return result
+    a = np.asarray(result)
+    return a.dtype.str, a.shape, a.tobytes()
 
 
 def dual_potentials(plan, int_cost):
@@ -419,6 +431,7 @@ class TestBatchedValues:
             want = serial[i % 2]
             for a, b in zip(got[:5], want[:5]):  # values, potentials, deficits
                 assert np.array_equal(a, b)
+            assert as_bytes(got[5]) == as_bytes(want[5])  # corrections
             assert got[6] == want[6]
 
     def test_lex_swap_mask_matches_loop(self, rng):
@@ -553,7 +566,8 @@ class TestDeficitClosure:
         err_r, err_c = np.zeros(m * m), np.zeros(m * m)
         err_r[sup_r], err_c[sup_c] = mass * r, mass * c
         s = err_r.sum()
-        cost, (idx_r, idx_c, plan) = _close_deficit(err_r.reshape(m, m), err_c.reshape(m, m), m)
+        [(cost, (idx_r, idx_c, plan))] = _close_deficits(err_r.reshape(1, m, m),
+                                                         err_c.reshape(1, m, m), m)
         # cells under a billionth of the deficit are pruned; the kept ones
         # carry the whole deficit mass
         a = err_r[idx_r] / err_r[idx_r].sum()
@@ -619,6 +633,53 @@ class TestDeficitClosure:
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
             pairwise_distance_matrix([a, a, rs[66], a], cost, cfg)
         assert err.value.pair == ((0, 2),)
+
+    def test_closures_do_not_depend_on_thread_count(self, rng, monkeypatch):
+        # With one usable CPU every closure LP runs on the calling thread;
+        # with four, helper threads solve some of them. The full return,
+        # corrections included, must not move a bit.
+        m = 10
+        R = np.stack([random_sample_copula(rng, m).mass for _ in range(12)])
+        C = np.stack([random_sample_copula(rng, m).mass for _ in range(12)])
+        cost, cfg = GroundCost(m), SinkhornConfig(lam=default_lambda(m))
+        solve_lp = transport._transport_lp
+        solved_on = []
+
+        def recording_lp(*args, **kwargs):
+            solved_on.append(threading.current_thread())
+            return solve_lp(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "_transport_lp", recording_lp)
+        results, threads = {}, {}
+        for cpus in (1, 4):
+            monkeypatch.setattr(transport, "_usable_cpus", lambda n=cpus: n)
+            solved_on.clear()
+            results[cpus] = as_bytes(transport._sinkhorn_many(R, C, cost, cfg))
+            threads[cpus] = set(solved_on)
+        assert len(solved_on) >= 8
+        assert threads[1] == {threading.current_thread()}
+        assert len(threads[4]) > 1
+        assert results[1] == results[4]
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_lowest_failing_closure_is_named(self, rng, monkeypatch, cpus):
+        # Two closure LPs of one chunk fail. The calling thread takes LPs
+        # from the back and a helper from the front, but whichever thread
+        # solved each, the failure names problem 3.
+        def failing_lp(*args, **kwargs):
+            raise ConvergenceFailure("transport LP failed: stub")
+
+        monkeypatch.setattr(transport, "_transport_lp", failing_lp)
+        monkeypatch.setattr(transport, "_usable_cpus", lambda: cpus)
+        m = 6
+        cost, cfg = GroundCost(m), SinkhornConfig(lam=default_lambda(m))
+        # a point mass against itself leaves no deficit to close
+        rs, cs = [point_mass(m, 2, 3)] * 10, [point_mass(m, 2, 3)] * 10
+        for b in (3, 7):
+            rs[b], cs[b] = random_histogram(rng, m), random_histogram(rng, m)
+        with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert err.value.pair == (3,)
 
 
 class TestExactOt:
@@ -764,6 +825,32 @@ class TestBarycenter:
                                    [0.5, 0.5], GroundCost(6), cfg)
         assert err.value.residual >= cfg.tol
 
+
+    def test_logsumexp_matches_scipy_bitwise(self, rng):
+        grids = [rng.standard_normal((10, 10)) * rng.uniform(0.1, 50) for _ in range(200)]
+        tied = np.round(rng.standard_normal((10, 10)))
+        tied[:3, 0] = tied.max()            # the max appears at least 3 times
+        sparse = rng.standard_normal((12, 12)) - 40.0
+        sparse[rng.random((12, 12)) < 0.4] = -np.inf
+        grids += [tied, sparse, np.full((10, 10), 7.5)]
+        # non-finite results take scipy's fallback, log(sum(exp(a)))
+        big = np.zeros((4, 4))
+        big[0, 0] = big[1, 1] = np.inf
+        nan = np.zeros((4, 4))
+        nan[2, 3] = np.nan
+        grids += [np.full((6, 6), -np.inf), big, nan]
+        for a in grids:
+            got, want = transport._logsumexp(a), logsumexp(a)
+            assert type(got) is type(want)
+            assert got.tobytes() == want.tobytes()
+
+    def test_barycenter_bits_match_scipy_logsumexp(self, rng, monkeypatch):
+        m = 10
+        hists = [random_sample_copula(rng, m, T=60) for _ in range(3)]
+        args = (hists, [0.2, 0.3, 0.5], GroundCost(m), SinkhornConfig(lam=default_lambda(m)))
+        got = wasserstein_barycenter(*args).mass
+        monkeypatch.setattr(transport, "_logsumexp", logsumexp)
+        assert got.tobytes() == wasserstein_barycenter(*args).mass.tobytes()
 
 class TestPairwiseDistanceMatrix:
     def test_single_histogram(self, rng):
