@@ -434,8 +434,8 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
     thread count nor the schedule moves a bit. With n LPs, min(usable CPUs,
     n) - 1 helper threads take them from the front of the list. The calling
     thread takes from the back every LP that no helper has started, and only
-    then waits; a caller that only waited made the numpy work after each
-    wait slower than the LPs it saved. One CPU, or fewer than two LPs,
+    then waits: a caller that only waited saved less on the LPs than it
+    lost in the numpy work after each wait. One CPU, or fewer than two LPs,
     starts no thread. Results are read in problem order, so a
     ConvergenceFailure names the lowest failing problem in `.pair`.
     """
@@ -840,7 +840,7 @@ def _transport_lp(sub_cost: np.ndarray, r_sup: np.ndarray, c_sup: np.ndarray,
     # Built directly in CSC, the layout HiGHS takes: the column of plan entry
     # (i, j), variable i * n_c + j, holds a 1 in row-sum row i and, unless j
     # is the dropped last column, a 1 in column-sum row n_r + j.
-    i, j = np.divmod(np.arange(n, dtype=np.int32), np.int32(n_c))
+    i, j = np.divmod(np.arange(n), n_c)
     has_col = j < n_c - 1
     start = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(1 + has_col, out=start[1:])
