@@ -54,7 +54,6 @@ from .transport import (
     exact_ot,
     pairwise_distance_matrix,
     sinkhorn_distance,
-    sinkhorn_divergence,
     wasserstein_barycenter,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "read_cop",
     "reference_copula",
     "sinkhorn_distance",
-    "sinkhorn_divergence",
     "spearman",
     "spearman_from_copula",
     "tfdc",

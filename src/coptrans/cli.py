@@ -266,15 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out_existed = args.out.exists()
+    # the directories that creating --out would make, innermost first
+    missing = []
+    for d in (args.out, *args.out.parents):
+        if d.exists():
+            break
+        missing.append(d)
     code = _run(args)
-    if code and not out_existed:
-        # a failed command leaves no empty --out of its own making; rmdir
+    if code:
+        # a failed command leaves no empty directory of its own making; rmdir
         # removes only an empty directory, never a file the command wrote
-        try:
-            args.out.rmdir()
-        except OSError:
-            pass
+        for d in missing:
+            try:
+                d.rmdir()
+            except OSError:
+                break
     return code
 
 

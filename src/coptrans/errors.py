@@ -30,8 +30,9 @@ class ConvergenceFailure(CoptransError):
     that failed: `sinkhorn_values_batch` gives their positions in the aligned
     lists, `pairwise_distance_matrix` their (i, j) histogram index pairs.
     Problems after the first failing chunk of the batch are not solved, so
-    they are never named. A failed deficit-closure LP names its own problem
-    only: the problems after it in its chunk are not closed.
+    they are never named. When deficit-closure LPs fail, every LP of their
+    chunk still runs, `pair` names the lowest failing problem only, and the
+    chunk returns no value.
     """
 
     def __init__(self, message, residual=None, value=None, pair=None):

@@ -136,6 +136,8 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     """
     if n_sims < 10:
         raise InvalidParameter(f"need n_sims >= 10, got {n_sims}")
+    if sample_size < 2:
+        raise InvalidParameter(f"need sample_size >= 2, got {sample_size}")
     if isinstance(coefficient, str):
         if coefficient not in COEFFICIENTS:
             raise InvalidParameter(

@@ -26,9 +26,9 @@ own HiGHS instance, so the thread count and the schedule change no bit.
 from __future__ import annotations
 
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "exact_ot",
     "pairwise_distance_matrix",
     "sinkhorn_distance",
-    "sinkhorn_divergence",
     "wasserstein_barycenter",
 ]
 
@@ -349,40 +348,6 @@ def _rank_one_cost(axis_cost, err_r, err_c):
 _CLOSURE_LP_LIMIT = 4096  # max deficit-support product for the optimal closure
 
 
-def _deficit_closure(err_r: np.ndarray, err_c: np.ndarray, m: int):
-    """How one rounding deficit is closed.
-
-    Small deficits are closed optimally with a tiny transport LP over their
-    support cells, whose plan is then rounded to exact marginals;
-    large-support deficits fall back to the rank-one coupling. That coarser
-    routing costs accuracy. On a power-study probe at m=12, 24 of 168
-    deficits exceeded _CLOSURE_LP_LIMIT; closed rank-one, they put the p90
-    excess over the exact optimum at 15.3%, against 7.2% when every deficit
-    was closed by transport. Closing every deficit rank-one raised the
-    power-m12 benchmark's mean excess over exact from 6.14e-4 to 9.40e-4
-    (+53%).
-    Returns (cost, None) when the deficit closes without an LP, rank-one or
-    at noise level; otherwise a call, taking no arguments, that solves the
-    LP and returns (cost, (idx_r, idx_c, small_plan)). `_close_deficits`
-    counts those calls before it decides how many threads run them.
-    """
-    s_r = err_r.sum()
-    s_c = err_c.sum()
-    # The two deficits agree up to float rounding; once either is at noise
-    # level the plan is already feasible to that level and closure would just
-    # amplify rounding junk.
-    if s_r <= 1e-12 or s_c <= 1e-12:
-        return 0.0, None
-    # Support cells carrying under a billionth of the deficit are rounding
-    # noise: pruning them keeps the LP well-scaled at no meaningful cost to
-    # the restored marginals.
-    idx_r = np.flatnonzero(err_r.ravel() > 1e-9 * s_r)
-    idx_c = np.flatnonzero(err_c.ravel() > 1e-9 * s_c)
-    if idx_r.size * idx_c.size > _CLOSURE_LP_LIMIT:
-        return _rank_one_cost(GroundCost(m).axis_cost, err_r, err_c), None
-    return partial(_lp_closure, err_r, err_c, s_r, idx_r, idx_c, m)
-
-
 def _lp_closure(err_r, err_c, s_r, idx_r, idx_c, m):
     """(cost, (idx_r, idx_c, small_plan)): the deficit of total s_r routed
     optimally from the cells idx_r to the cells idx_c."""
@@ -415,48 +380,74 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _solved(closure) -> Future:
-    """A finished future holding closure()'s result or its ConvergenceFailure."""
-    done = Future()
-    try:
-        done.set_result(closure())
-    except ConvergenceFailure as exc:
-        done.set_exception(exc)
-    return done
-
-
 def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
     """(cost, correction) closing each problem's rounding deficit, in problem order.
 
-    err_r and err_c have shape (B, m, m). The closure LPs run side by side:
-    HiGHS releases the GIL while it solves, and each LP is a pure function
-    of its own deficit, solved on its own HiGHS instance, so neither the
-    thread count nor the schedule moves a bit. With n LPs, min(usable CPUs,
-    n) - 1 helper threads take them from the front of the list. The calling
-    thread takes from the back every LP that no helper has started, and only
-    then waits: a caller that only waited saved less on the LPs than it
-    lost in the numpy work after each wait. One CPU, or fewer than two LPs,
-    starts no thread. Results are read in problem order, so a
-    ConvergenceFailure names the lowest failing problem in `.pair`.
+    err_r and err_c have shape (B, m, m). Small deficits are closed
+    optimally with a tiny transport LP over their support cells, whose plan
+    is then rounded to exact marginals; large-support deficits fall back to
+    the rank-one coupling, with correction None. That coarser routing costs
+    accuracy. On a power-study probe at m=12, 24 of 168 deficits exceeded
+    _CLOSURE_LP_LIMIT; closed rank-one, they put the p90 excess over the
+    exact optimum at 15.3%, against 7.2% when every deficit was closed by
+    transport. Closing every deficit rank-one raised the power-m12
+    benchmark's mean excess over exact from 6.14e-4 to 9.40e-4 (+53%).
+
+    The LPs wait in one work list and run side by side: HiGHS releases the
+    GIL while it solves, and each LP is a pure function of its own deficit,
+    solved on its own HiGHS instance, so neither the thread count nor the
+    schedule moves a bit. With n LPs, min(usable CPUs, n) - 1 helper threads
+    take them from the front of the list and the calling thread from the
+    back; a deque's pops are thread-safe, so each LP is taken once. A caller
+    that only waited saved less on the LPs than it lost in the numpy work
+    after each wait. One CPU, or fewer than two LPs, starts no thread. Every
+    LP runs even when one fails; results are then read in problem order, so
+    a ConvergenceFailure names the lowest failing problem in `.pair`.
     """
-    closures = [_deficit_closure(er, ec, m) for er, ec in zip(err_r, err_c)]
-    lps = [b for b, closure in enumerate(closures) if callable(closure)]
-    helpers = min(_usable_cpus(), len(lps)) - 1
-    outcomes = {}
+    results = []
+    todo = deque()
+    for b, (er, ec) in enumerate(zip(err_r, err_c)):
+        s_r = er.sum()
+        s_c = ec.sum()
+        # The two deficits agree up to float rounding; once either is at
+        # noise level the plan is already feasible to that level and closure
+        # would just amplify rounding junk.
+        if s_r <= 1e-12 or s_c <= 1e-12:
+            results.append((0.0, None))
+            continue
+        # Support cells carrying under a billionth of the deficit are
+        # rounding noise: pruning them keeps the LP well-scaled at no
+        # meaningful cost to the restored marginals.
+        idx_r = np.flatnonzero(er.ravel() > 1e-9 * s_r)
+        idx_c = np.flatnonzero(ec.ravel() > 1e-9 * s_c)
+        if idx_r.size * idx_c.size > _CLOSURE_LP_LIMIT:
+            results.append((_rank_one_cost(GroundCost(m).axis_cost, er, ec), None))
+        else:
+            results.append(None)
+            todo.append((b, er, ec, s_r, idx_r, idx_c))
+
+    def work(take):
+        while True:
+            try:
+                b, *lp = take()
+            except IndexError:  # the list is empty
+                return
+            try:
+                results[b] = _lp_closure(*lp, m)
+            except ConvergenceFailure as exc:
+                results[b] = exc
+
+    helpers = min(_usable_cpus(), len(todo)) - 1
     # an executor starts its threads on submit, so without helpers it starts none
     with ThreadPoolExecutor(max(helpers, 1)) as pool:
-        if helpers > 0:
-            outcomes = {b: pool.submit(closures[b]) for b in lps}
-        for b in reversed(lps):
-            if b not in outcomes or outcomes[b].cancel():
-                outcomes[b] = _solved(closures[b])
-        results = []
-        for b, closure in enumerate(closures):
-            try:
-                results.append(outcomes[b].result() if b in outcomes else closure)
-            except ConvergenceFailure as exc:
-                exc.pair = (b,)
-                raise
+        tasks = [pool.submit(work, todo.popleft) for _ in range(helpers)]
+        work(todo.pop)
+        for task in tasks:
+            task.result()
+    for b, result in enumerate(results):
+        if isinstance(result, ConvergenceFailure):
+            result.pair = (b,)
+            raise result
     return results
 
 
@@ -685,25 +676,16 @@ def sinkhorn_divergences(xs, c: CopulaHistogram, cost: GroundCost,
                          cfg: SinkhornConfig) -> np.ndarray:
     """Debiased values S(x, c) = d(x, c) - (d(x, x) + d(c, c)) / 2 for each x.
 
-    d(x, c), d(x, x) and the shared d(c, c) are solved as one batch.
+    d(x, c), d(x, x) and the shared d(c, c) are solved as one batch. The
+    debiasing removes the entropic self-distance bias near the 0/1 ends of
+    the target/forget coefficient. S is symmetric, and S(c, c) is exactly 0:
+    its three values are one problem solved three times, and a value never
+    depends on its batch mates.
     """
     xs = list(xs)
     n = len(xs)
     vals = sinkhorn_values_batch(xs + xs + [c], [c] * n + xs + [c], cost, cfg)
     return vals[:n] - 0.5 * (vals[n:2 * n] + vals[-1])
-
-
-def sinkhorn_divergence(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
-                        cfg: SinkhornConfig) -> float:
-    """Debiased value S(r, c) = d(r, c) - (d(r, r) + d(c, c)) / 2.
-
-    Symmetric by construction and exactly zero for identical inputs, which
-    removes the entropic self-distance bias near the 0/1 ends of the
-    target/forget coefficient.
-    """
-    if r.same_bits(c):
-        return 0.0
-    return float(sinkhorn_divergences([r], c, cost, cfg)[0])
 
 
 def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:

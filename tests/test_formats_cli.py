@@ -297,6 +297,9 @@ class TestCli:
         ["power", "--patterns", "linear", "--noise-levels", "nan", "--coefficients",
          "pearson", "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
         ["synth", "--kind", "noisy_parabola", "--offset", "nan", "--T", "50", "--seed", "1"],
+        ["power", "--patterns", "linear", "--noise-levels", "0", "--coefficients",
+         "pearson,tfdc", "--n-sims", "10", "--sample-size", "1", "--seed", "1", "--m", "6",
+         "--t-ref", "2000"],
     ])
     def test_exit_code_out_of_range_parameter(self, dataset, tmp_path, argv):
         argv = [str(dataset) if a == "DATA" else a for a in argv]
@@ -354,6 +357,12 @@ class TestCli:
             assert main(argv + [str(out)]) == 2
         assert kept_empty.is_dir() and not any(kept_empty.iterdir())
         assert (kept_full / "notes.txt").read_text() == "keep"
+        # every directory the run made for a nested --out goes, and removal
+        # stops at the first directory that was there before
+        assert main(argv + [str(made / "deeper" / "cl")]) == 2
+        assert not made.exists()
+        assert main(argv + [str(kept_full / "new" / "cl")]) == 2
+        assert sorted(p.name for p in kept_full.iterdir()) == ["notes.txt"]
 
     def test_exit_code_convergence_failure(self, dataset, tmp_path, monkeypatch, capsys):
         def failing_lp(*args, **kwargs):

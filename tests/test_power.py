@@ -57,6 +57,10 @@ class TestEstimatePower:
             estimate_power("linear", 0.0, "spearman", n_sims=5, sample_size=50, seed=0)
         with pytest.raises(InvalidParameter):
             estimate_power("linear", 0.0, "nope", n_sims=20, sample_size=50, seed=0)
+        # one point gives no coefficient: every replicate would score as a
+        # non-rejection, reporting power 0 for a noiseless pattern
+        with pytest.raises(InvalidParameter):
+            estimate_power("linear", 0.0, "pearson", n_sims=20, sample_size=1, seed=0)
         # a NaN noise level used to give noise-free data labelled nan
         with pytest.raises(InvalidParameter):
             estimate_power("linear", np.nan, "pearson", n_sims=20, sample_size=50, seed=0)

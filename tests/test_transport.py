@@ -22,7 +22,6 @@ from coptrans import (
     pairwise_distance_matrix,
     reference_copula,
     sinkhorn_distance,
-    sinkhorn_divergence,
     wasserstein_barycenter,
 )
 from coptrans import transport
@@ -33,6 +32,7 @@ from coptrans.transport import (
     _log_kernel_apply,
     _support_cost,
     _transport_lp,
+    sinkhorn_divergences,
     sinkhorn_values_batch,
 )
 
@@ -650,16 +650,28 @@ class TestDeficitClosure:
             return solve_lp(*args, **kwargs)
 
         monkeypatch.setattr(transport, "_transport_lp", recording_lp)
-        results, threads = {}, {}
+        results, threads, lp_calls = {}, {}, {}
         for cpus in (1, 4):
             monkeypatch.setattr(transport, "_usable_cpus", lambda n=cpus: n)
             solved_on.clear()
-            results[cpus] = as_bytes(transport._sinkhorn_many(R, C, cost, cfg))
+            out = transport._sinkhorn_many(R, C, cost, cfg)
+            results[cpus] = as_bytes(out)
             threads[cpus] = set(solved_on)
+            lp_calls[cpus] = len(solved_on)
         assert len(solved_on) >= 8
         assert threads[1] == {threading.current_thread()}
         assert len(threads[4]) > 1
         assert results[1] == results[4]
+        # Each LP is solved exactly once: a schedule that hands one LP to two
+        # threads, or drops one, changes the count. A deficit goes to the LP
+        # unless it is at noise level or its pruned support is too large.
+        to_lp = 0
+        for er, ec in zip(out[3], out[4]):
+            s_r, s_c = er.sum(), ec.sum()
+            if s_r > 1e-12 and s_c > 1e-12:
+                support = np.count_nonzero(er > 1e-9 * s_r) * np.count_nonzero(ec > 1e-9 * s_c)
+                to_lp += support <= transport._CLOSURE_LP_LIMIT
+        assert lp_calls[1] == lp_calls[4] == to_lp
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_lowest_failing_closure_is_named(self, rng, monkeypatch, cpus):
@@ -755,13 +767,13 @@ class TestLambdaSweep:
 class TestSinkhornDivergence:
     def test_self_divergence_zero(self, rng):
         h = random_histogram(rng, 8)
-        val = sinkhorn_divergence(h, h, GroundCost(8), SinkhornConfig(lam=default_lambda(8)))
-        assert abs(val) < 1e-8
+        cost, cfg = GroundCost(8), SinkhornConfig(lam=default_lambda(8))
+        assert sinkhorn_divergences([h], h, cost, cfg)[0] == 0.0
 
     def test_extreme_grids(self):
         up = reference_copula(TargetBuilderSpec("frechet_upper", 2))
         dn = reference_copula(TargetBuilderSpec("frechet_lower", 2))
-        val = sinkhorn_divergence(up, dn, GroundCost(2), SinkhornConfig(lam=2000.0))
+        val = sinkhorn_divergences([up], dn, GroundCost(2), SinkhornConfig(lam=2000.0))[0]
         assert abs(val - 0.25) < 0.25 * 0.02
 
     def test_symmetry(self, rng):
@@ -770,8 +782,8 @@ class TestSinkhornDivergence:
         for _ in range(10):
             a = random_histogram(rng, 6)
             b = random_histogram(rng, 6)
-            assert abs(sinkhorn_divergence(a, b, cost, cfg)
-                       - sinkhorn_divergence(b, a, cost, cfg)) < 1e-10
+            assert abs(sinkhorn_divergences([a], b, cost, cfg)[0]
+                       - sinkhorn_divergences([b], a, cost, cfg)[0]) < 1e-10
 
 
 class TestBarycenter:
