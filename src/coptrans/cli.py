@@ -3,8 +3,8 @@
 Commands: copula, dist, cluster, tfdc, query, synth, power. `main` does what
 every command shares: it reads `--input` for a table command, creates
 `--out`, runs the command and writes a run-meta.json manifest recording all
-parameters, plus any extra fields the command returns. When a command fails,
-an `--out` that `main` created and that is still empty is removed again.
+parameters, plus any extra fields the command returns. When a command fails
+or raises, an `--out` that `main` made and that is still empty is removed.
 Exit codes: 0 success, 2 parse/config error, 3 convergence failure, 4 I/O
 error.
 """
@@ -22,7 +22,7 @@ from . import __version__
 from .clustering import centroid_report, cluster_copulas
 from .copula import empirical_copula_from_data
 from .dependence import TFDCSpec, tfdc
-from .errors import ConvergenceFailure, CoptransError, InvalidData, IoError
+from .errors import ConvergenceFailure, CoptransError, InvalidData, InvalidParameter, IoError
 from .formats import (
     load_csv,
     read_cop,
@@ -168,7 +168,10 @@ def cmd_synth(args, table, out):
 
 def cmd_power(args, table, out):
     patterns = args.patterns.split(",")
-    noise_levels = [float(v) for v in args.noise_levels.split(",")]
+    try:
+        noise_levels = [float(v) for v in args.noise_levels.split(",")]
+    except ValueError as exc:  # float's message names the bad entry
+        raise InvalidParameter(f"--noise-levels: {exc}") from None
     coefficients = args.coefficients.split(",")
     spec = None
     if "tfdc" in coefficients:
@@ -272,15 +275,18 @@ def main(argv=None) -> int:
         if d.exists():
             break
         missing.append(d)
-    code = _run(args)
-    if code:
-        # a failed command leaves no empty directory of its own making; rmdir
-        # removes only an empty directory, never a file the command wrote
-        for d in missing:
-            try:
-                d.rmdir()
-            except OSError:
-                break
+    code = None
+    try:
+        code = _run(args)
+    finally:
+        if code != 0:
+            # a failed or interrupted command leaves no empty directory of its own
+            # making; rmdir removes only an empty directory, never a file it wrote
+            for d in missing:
+                try:
+                    d.rmdir()
+                except OSError:
+                    break
     return code
 
 

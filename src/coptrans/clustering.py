@@ -7,7 +7,7 @@ single RNG so runs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +29,13 @@ class ClusterModel:
 
     `distances[i, j]` is the dual-Sinkhorn value of member i against the
     returned centroid j, bit for bit what `sinkhorn_values_batch` gives for
-    that pair, so callers never re-solve it. Keeps references to the
-    clustered histograms and the distance configuration so reports can be
-    computed from the model alone.
+    that pair, so callers never re-solve it.
     """
 
-    k: int
     centroids: tuple[CopulaHistogram, ...]
     assignment: np.ndarray          # histogram index -> cluster id
     distances: np.ndarray           # (n, k) member -> returned centroid values
     objective_trace: tuple[float, ...]
-    seed: int
-    members: tuple[CopulaHistogram, ...] = field(repr=False, default=())
-    cost: GroundCost | None = field(repr=False, default=None)
-    cfg: SinkhornConfig | None = field(repr=False, default=None)
 
 
 def _distances_to_centroids(hists, centroids, cost, cfg) -> np.ndarray:
@@ -129,36 +122,31 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
         ]
         d = _distances_to_centroids(hists, centroids, cost, cfg)
     return ClusterModel(
-        k=k,
         centroids=tuple(centroids),
         assignment=assignment,
         distances=d,
         objective_trace=tuple(trace),
-        seed=seed,
-        members=tuple(hists),
-        cost=cost,
-        cfg=cfg,
     )
 
 
-def centroid_report(model: ClusterModel):
+def centroid_report(model: ClusterModel, hists, cost: GroundCost, cfg: SinkhornConfig):
     """Per-cluster summary: (cluster id, size, centroid, medoid member index).
 
-    The medoid is the member minimizing the summed transport distance to the
-    other members of its cluster; exact ties go to the lower index.
+    `hists`, `cost` and `cfg` are the inputs the model was clustered from. The
+    medoid is the member minimizing the summed transport distance to the other
+    members of its cluster; exact ties go to the lower index.
     """
-    if model.cost is None or model.cfg is None or not model.members:
-        raise InvalidData("model lacks member histograms or distance configuration")
+    if len(hists) != len(model.assignment):
+        raise InvalidData(f"got {len(hists)} histograms for a model of {len(model.assignment)}")
     report = []
-    for cid in range(model.k):
+    for cid in range(len(model.centroids)):
         idx = np.flatnonzero(model.assignment == cid)
         if len(idx) == 1:
             medoid = int(idx[0])
         else:
             iu, ju = np.triu_indices(len(idx), 1)
-            vals = sinkhorn_values_batch([model.members[idx[i]] for i in iu],
-                                         [model.members[idx[j]] for j in ju],
-                                         model.cost, model.cfg)
+            vals = sinkhorn_values_batch([hists[idx[i]] for i in iu],
+                                         [hists[idx[j]] for j in ju], cost, cfg)
             within = np.zeros((len(idx), len(idx)))
             within[iu, ju] = within[ju, iu] = vals
             medoid = int(idx[int(np.argmin(within.sum(axis=1)))])

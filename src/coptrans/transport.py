@@ -83,18 +83,6 @@ class GroundCost:
         d = np.arange(self.m, dtype=float)
         return (d[:, None] - d[None, :]) ** 2 / (self.m * self.m)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense m^2-by-m^2 view; flat index (p, q) -> p * m + q."""
-        ax = self.axis_cost
-        m = self.m
-        return (ax[:, None, :, None] + ax[None, :, None, :]).reshape(m * m, m * m)
-
-    @property
-    def euclidean_matrix(self) -> np.ndarray:
-        """Non-squared (metric) version of `matrix`."""
-        return np.sqrt(self.matrix)
-
 
 @dataclass(frozen=True)
 class SinkhornConfig:
@@ -128,14 +116,16 @@ class SinkhornConfig:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Entropic plan rounded onto the transportation polytope.
+    """Entropic plan rounded onto the transportation polytope, in stored form.
 
-    Stored as P = diag(u) K diag(v) plus a feasibility correction that gives
-    the plan exact marginals even when the scaling iterations stopped at a
-    finite residual. With `correction` None it is the rank-one term
-    outer(err_r, err_c) / sum(err_r); otherwise it is the closure LP's plan
-    `small_plan` over the deficit cells idx_r (source) and idx_c
-    (destination), flat indices p * m + q.
+    The m^2-by-m^2 plan is P = diag(exp(log_u)) K diag(exp(log_v)), with K
+    the Gibbs kernel exp(-lam * cost) over flat indices p * m + q, plus a
+    feasibility correction that gives the plan exact marginals even when the
+    scaling iterations stopped at a finite residual. With `correction` None
+    it is the rank-one term outer(err_r, err_c) / sum(err_r); otherwise it
+    is the closure LP's plan `small_plan` over the deficit cells idx_r
+    (source) and idx_c (destination). Only the solver writes this form and
+    the library never materializes the plan; tests/ does, as an oracle.
     """
 
     m: int
@@ -145,51 +135,6 @@ class TransportPlan:
     err_r: np.ndarray   # (m, m) leftover source mass closed by the correction
     err_c: np.ndarray   # (m, m) leftover destination mass
     correction: tuple | None = None  # (idx_r, idx_c, small_plan) or None for rank-one
-
-    def _log_kernel(self) -> np.ndarray:
-        return -self.lam * GroundCost(self.m).axis_cost
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column marginals of the plan, as m-by-m grids."""
-        k = _kernel(self._log_kernel())
-        row = np.exp(self.log_u + _log_kernel_apply(k, self.log_v))
-        col = np.exp(self.log_v + _log_kernel_apply(k, self.log_u))
-        s = self.err_r.sum()
-        if s > 0.0:
-            if self.correction is None:
-                row = row + self.err_r * (self.err_c.sum() / s)
-                col = col + self.err_c
-            else:
-                idx_r, idx_c, small = self.correction
-                add_r = np.zeros(self.m * self.m)
-                add_c = np.zeros(self.m * self.m)
-                add_r[idx_r] = small.sum(axis=1)
-                add_c[idx_c] = small.sum(axis=0)
-                row = row + add_r.reshape(self.m, self.m)
-                col = col + add_c.reshape(self.m, self.m)
-        return row, col
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full m^2-by-m^2 plan (small grids only)."""
-        if self.m > 40:
-            raise InvalidParameter(f"dense plan for m={self.m} would need m^4 entries")
-        lk = self._log_kernel()
-        m = self.m
-        four = (
-            self.log_u[:, :, None, None]
-            + lk[:, None, :, None]
-            + lk[None, :, None, :]
-            + self.log_v[None, None, :, :]
-        )
-        plan = np.exp(four).reshape(m * m, m * m)
-        s = self.err_r.sum()
-        if s > 0.0:
-            if self.correction is None:
-                plan = plan + np.outer(self.err_r.ravel(), self.err_c.ravel()) / s
-            else:
-                idx_r, idx_c, small = self.correction
-                plan[np.ix_(idx_r, idx_c)] += small
-        return plan
 
 
 _UNDERFLOW = 1e-250  # shifted products below this are recomputed exactly

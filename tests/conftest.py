@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from coptrans import CopulaHistogram, empirical_copula_from_data, project_uniform_margins
+from coptrans import (
+    CopulaHistogram,
+    GroundCost,
+    empirical_copula_from_data,
+    project_uniform_margins,
+)
+
+
+def dense_cost(m):
+    """The m^2-by-m^2 squared Euclidean ground cost; flat index (p, q) -> p * m + q."""
+    ax = GroundCost(m).axis_cost
+    return (ax[:, None, :, None] + ax[None, :, None, :]).reshape(m * m, m * m)
 
 
 def random_histogram(rng, m, concentration=0.5):

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import dense_cost
 from coptrans import (
     CopulaHistogram,
     GroundCost,
@@ -162,7 +163,7 @@ def test_criterion_4_exact_ot_metric_property():
     with Criterion(4, "triangle inequality for exact transport with metric cost"):
         m = 6
         rng = np.random.default_rng(46)
-        cost_metric = GroundCost(m).euclidean_matrix
+        cost_metric = np.sqrt(dense_cost(m))
         hists = []
         for _ in range(8):
             g = rng.gamma(0.6, size=(m, m)) + 1e-12

@@ -196,10 +196,12 @@ class TestCentroidReport:
     def test_sizes_and_singleton_medoid(self, mw_hists, cost_cfg):
         cost, cfg = cost_cfg
         model = cluster_copulas(mw_hists, 2, cost, cfg, seed=3)
-        report = centroid_report(model)
+        report = centroid_report(model, mw_hists, cost, cfg)
         assert sum(size for _, size, _, _ in report) == len(mw_hists)
         for cid, size, centroid, medoid in report:
             assert model.assignment[medoid] == cid
+        with pytest.raises(InvalidData, match="histograms for a model of"):
+            centroid_report(model, mw_hists[1:], cost, cfg)
 
     def test_medoid_tie_breaks_to_lower_index(self, rng, cost_cfg):
         cost, cfg = cost_cfg
@@ -207,7 +209,7 @@ class TestCentroidReport:
         h = empirical_copula_from_data(x, x + 0.05 * rng.standard_normal(400), M_GRID)
         other = monotone_family(rng, 1, -1.0)[0]
         model = cluster_copulas([h, h, other], 2, cost, cfg, seed=2)
-        report = centroid_report(model)
+        report = centroid_report(model, [h, h, other], cost, cfg)
         twin_cluster = model.assignment[0]
         for cid, size, _, medoid in report:
             if cid == twin_cluster and size == 2:
@@ -216,7 +218,7 @@ class TestCentroidReport:
     def test_mw_medoids_are_members_of_their_families(self, mw_hists, cost_cfg):
         cost, cfg = cost_cfg
         model = cluster_copulas(mw_hists, 2, cost, cfg, seed=3)
-        for cid, size, _, medoid in report_sorted(centroid_report(model)):
+        for cid, size, _, medoid in report_sorted(centroid_report(model, mw_hists, cost, cfg)):
             members = set(np.flatnonzero(model.assignment == cid).tolist())
             assert medoid in members
 

@@ -20,7 +20,7 @@ from coptrans import (
     write_cop,
     write_heatmap,
 )
-from coptrans import ConvergenceFailure, transport
+from coptrans import ConvergenceFailure, cli, transport
 from coptrans.cli import build_parser, main
 
 
@@ -291,19 +291,30 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["dist", "--input", "DATA", "--m", "8", "--lambda", "inf"],
-        ["cluster", "--input", "DATA", "--m", "8", "--k", "2", "--seed", "5",
-         "--max-rounds", "0"],
-        ["power", "--patterns", "linear", "--noise-levels", "nan", "--coefficients",
-         "pearson", "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
-        ["synth", "--kind", "noisy_parabola", "--offset", "nan", "--T", "50", "--seed", "1"],
-        ["power", "--patterns", "linear", "--noise-levels", "0", "--coefficients",
-         "pearson,tfdc", "--n-sims", "10", "--sample-size", "1", "--seed", "1", "--m", "6",
-         "--t-ref", "2000"],
+        pytest.param(["dist", "--input", "DATA", "--m", "8", "--lambda", "inf"],
+                     id="dist-lambda-inf"),
+        pytest.param(["cluster", "--input", "DATA", "--m", "8", "--k", "2", "--seed", "5",
+                      "--max-rounds", "0"], id="cluster-max-rounds-0"),
+        pytest.param(["power", "--patterns", "linear", "--noise-levels", "nan",
+                      "--coefficients", "pearson", "--n-sims", "20", "--sample-size", "60",
+                      "--seed", "3"], id="power-noise-levels-nan"),
+        pytest.param(["synth", "--kind", "noisy_parabola", "--offset", "nan", "--T", "50",
+                      "--seed", "1"], id="synth-offset-nan"),
+        pytest.param(["power", "--patterns", "linear", "--noise-levels", "0",
+                      "--coefficients", "pearson,tfdc", "--n-sims", "10", "--sample-size", "1",
+                      "--seed", "1", "--m", "6", "--t-ref", "2000"],
+                     id="power-sample-size-1"),
+        pytest.param(["power", "--patterns", "linear", "--noise-levels", "0,abc",
+                      "--coefficients", "pearson", "--n-sims", "10", "--sample-size", "60",
+                      "--seed", "1"], id="power-noise-levels-abc"),
+        pytest.param(["power", "--patterns", "linear", "--noise-levels", "",
+                      "--coefficients", "pearson", "--n-sims", "10", "--sample-size", "60",
+                      "--seed", "1"], id="power-noise-levels-empty"),
     ])
     def test_exit_code_out_of_range_parameter(self, dataset, tmp_path, argv):
         argv = [str(dataset) if a == "DATA" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: argv[0])
     def test_manifest_records_command_and_every_option(self, dataset, tmp_path, argv):
@@ -363,6 +374,17 @@ class TestCli:
         assert not made.exists()
         assert main(argv + [str(kept_full / "new" / "cl")]) == 2
         assert sorted(p.name for p in kept_full.iterdir()) == ["notes.txt"]
+
+    def test_crashed_command_propagates_and_removes_its_out_dir(self, dataset, tmp_path,
+                                                                monkeypatch):
+        def crashing_command(args, table, out):
+            raise RuntimeError("crash: stub")
+
+        monkeypatch.setattr(cli, "cmd_copula", crashing_command)
+        with pytest.raises(RuntimeError, match="crash: stub"):
+            main(["copula", "--input", str(dataset), "--m", "6",
+                  "--out", str(tmp_path / "o" / "deeper")])
+        assert not (tmp_path / "o").exists()
 
     def test_exit_code_convergence_failure(self, dataset, tmp_path, monkeypatch, capsys):
         def failing_lp(*args, **kwargs):

@@ -1,3 +1,4 @@
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -7,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from conftest import random_histogram, random_sample_copula
+from conftest import dense_cost, random_histogram, random_sample_copula
 from coptrans import (
     ConvergenceFailure,
     CopulaHistogram,
@@ -41,6 +42,25 @@ def point_mass(m, i, j):
     g = np.zeros((m, m))
     g[i, j] = 1.0
     return CopulaHistogram(g)
+
+
+def dense_plan(plan):
+    """Materialize a stored TransportPlan as its m^2-by-m^2 matrix (small grids only)."""
+    m = plan.m
+    if m > 40:
+        raise InvalidParameter(f"dense plan for m={m} would need m^4 entries")
+    lk = -plan.lam * GroundCost(m).axis_cost
+    four = (plan.log_u[:, :, None, None] + lk[:, None, :, None]
+            + lk[None, :, None, :] + plan.log_v[None, None, :, :])
+    dense = np.exp(four).reshape(m * m, m * m)
+    s = plan.err_r.sum()
+    if s > 0.0:
+        if plan.correction is None:
+            dense = dense + np.outer(plan.err_r.ravel(), plan.err_c.ravel()) / s
+        else:
+            idx_r, idx_c, small = plan.correction
+            dense[np.ix_(idx_r, idx_c)] += small
+    return dense
 
 
 def as_bytes(result):
@@ -118,7 +138,7 @@ def w2_squared_1d(pos_r, w_r, pos_c, w_c):
 class TestGroundCost:
     def test_exact_entries(self):
         m = 4
-        M = GroundCost(m).matrix
+        M = dense_cost(m)
         # flat index (p, q) -> p*m + q
         assert M[0, 0] == 0.0
         assert M[0, 1] == 1.0 / 16.0          # (0,0) -> (0,1)
@@ -128,7 +148,7 @@ class TestGroundCost:
         assert np.all(np.diag(M) == 0.0)
 
     def test_sqrt_cost_is_metric(self):
-        E = GroundCost(3).euclidean_matrix
+        E = np.sqrt(dense_cost(3))
         n = E.shape[0]
         for i in range(n):
             for j in range(n):
@@ -140,7 +160,7 @@ class TestGroundCost:
         cost = GroundCost(m)
         lam = 37.0
         k1 = np.exp(-lam * cost.axis_cost)
-        k_dense = np.exp(-lam * cost.matrix)
+        k_dense = np.exp(-lam * dense_cost(m))
         for _ in range(5):
             w = rng.uniform(size=(m, m))
             sep = k1 @ w @ k1
@@ -154,7 +174,7 @@ class TestGroundCost:
         lk = -lam * cost.axis_cost
         lw = rng.standard_normal((m, m))
         lw[0, :] = -np.inf
-        dense = np.log(np.exp(-lam * cost.matrix) @ np.exp(lw).ravel()).reshape(m, m)
+        dense = np.log(np.exp(-lam * dense_cost(m)) @ np.exp(lw).ravel()).reshape(m, m)
         assert np.abs(_log_kernel_apply(_kernel(lk), lw) - dense).max() < 1e-10
 
         # At the default sharpness the kernel underflows a few cells away, so
@@ -173,7 +193,7 @@ class TestGroundCost:
         k = _kernel(lk)
         out = _log_kernel_apply(k, lws)
         for lw, got in zip(lws, out):
-            dense = logsumexp(-default_lambda(m) * cost.matrix + lw.ravel(), axis=1)
+            dense = logsumexp(-default_lambda(m) * dense_cost(m) + lw.ravel(), axis=1)
             dense = dense.reshape(m, m)
             assert np.array_equal(np.isfinite(got), np.isfinite(dense))
             fin = np.isfinite(dense)
@@ -230,9 +250,9 @@ class TestSinkhornDistance:
         cost = GroundCost(8)
         cfg = SinkhornConfig(lam=default_lambda(8))
         value, plan, _ = sinkhorn_distance(h, h, cost, cfg)
-        row, col = plan.marginals()
-        assert np.abs(row - h.mass).max() < 1e-9
-        assert np.abs(col - h.mass).max() < 1e-9
+        dense = dense_plan(plan)
+        assert np.abs(dense.sum(axis=1) - h.mass.ravel()).max() < 1e-9
+        assert np.abs(dense.sum(axis=0) - h.mass.ravel()).max() < 1e-9
         assert value >= 0.0
         # self-value is minimal against a handful of other targets
         for _ in range(5):
@@ -255,7 +275,7 @@ class TestSinkhornDistance:
         b = point_mass(m, m - 1, m - 1)
         value, plan, _ = sinkhorn_distance(a, b, GroundCost(m), SinkhornConfig(lam=5.0))
         assert abs(value - 2 * (m - 1) ** 2 / m**2) < 1e-9
-        dense = plan.dense()
+        dense = dense_plan(plan)
         assert abs(dense[0, m * m - 1] - 1.0) < 1e-9
 
     def test_value_upper_bounds_exact(self, rng):
@@ -273,8 +293,8 @@ class TestSinkhornDistance:
         b = random_histogram(rng, m)
         cost = GroundCost(m)
         value, plan, _ = sinkhorn_distance(a, b, cost, SinkhornConfig(lam=default_lambda(m)))
-        dense = plan.dense()
-        assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
+        dense = dense_plan(plan)
+        assert abs(float(np.sum(dense * dense_cost(m))) - value) < 1e-10
         assert abs(dense.sum() - 1.0) < 1e-9
 
     def test_plan_value_consistent_with_dense_where_kernel_underflows(self, rng):
@@ -290,7 +310,7 @@ class TestSinkhornDistance:
             for b in pool[i + 1:]:
                 for r, c in ((a, b), (b, a)):
                     value, plan, _ = sinkhorn_distance(r, c, cost, cfg)
-                    dense = float(np.sum(plan.dense() * cost.matrix))
+                    dense = float(np.sum(dense_plan(plan) * dense_cost(m)))
                     assert abs(value - dense) <= 1e-11 * dense
 
     def test_plain_path_matches_log_path(self, rng):
@@ -302,7 +322,7 @@ class TestSinkhornDistance:
         cost = GroundCost(m)
         lam = 100.0
         v_log, _, _ = sinkhorn_distance(a, b, cost, SinkhornConfig(lam=lam, tol=1e-8))
-        K = np.exp(-lam * cost.matrix)
+        K = np.exp(-lam * dense_cost(m))
         ra, rb = a.mass.ravel(), b.mass.ravel()
         v = np.ones(m * m)
         for _ in range(100000):
@@ -312,7 +332,7 @@ class TestSinkhornDistance:
                 break
         else:
             pytest.fail("dense Sinkhorn did not converge")
-        v_plain = float(np.sum(u[:, None] * K * v[None, :] * cost.matrix))
+        v_plain = float(np.sum(u[:, None] * K * v[None, :] * dense_cost(m)))
         assert abs(v_log - v_plain) < 1e-6
 
     def test_convergence_failure_carries_diagnostics(self, rng):
@@ -583,9 +603,9 @@ class TestDeficitClosure:
 
     def test_lp_closed_plans_have_exact_marginals_in_both_orders(self, rng):
         # A plan solved in the swapped orientation stores its LP closure
-        # transposed; marginals() and dense() must still describe the
-        # caller's direction. At m=16 the deficit supports exceed
-        # _CLOSURE_LP_LIMIT, so those plans are closed rank-one.
+        # transposed; its dense plan must still describe the caller's
+        # direction. At m=16 the deficit supports exceed _CLOSURE_LP_LIMIT,
+        # so those plans are closed rank-one.
         closed = set()
         for m, T, n_pairs in ((8, 64, 8), (16, 400, 4)):
             cost = GroundCost(m)
@@ -602,13 +622,10 @@ class TestDeficitClosure:
                     else:
                         continue
                     closed.add((closure, bool(_lex_swap_mask(r.mass[None], c.mass[None])[0])))
-                    row, col = plan.marginals()
-                    assert np.abs(row - r.mass).max() < 1e-11
-                    assert np.abs(col - c.mass).max() < 1e-11
-                    dense = plan.dense()
+                    dense = dense_plan(plan)
                     assert np.abs(dense.sum(axis=1) - r.mass.ravel()).max() < 1e-11
                     assert np.abs(dense.sum(axis=0) - c.mass.ravel()).max() < 1e-11
-                    assert abs(float(np.sum(dense * cost.matrix)) - value) < 1e-10
+                    assert abs(float(np.sum(dense * dense_cost(m))) - value) < 1e-10
         assert set(closed) == {(closure, swapped) for closure in ("lp", "rank-one")
                                for swapped in (False, True)}
 
@@ -693,6 +710,14 @@ class TestDeficitClosure:
             sinkhorn_values_batch(rs, cs, cost, cfg)
         assert err.value.pair == (3,)
 
+    def test_usable_cpus_without_affinity_mask(self, monkeypatch):
+        # where the platform has no affinity mask, the CPU count stands in
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert transport._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert transport._usable_cpus() == 1
+
 
 class TestExactOt:
     def test_identical_inputs_zero(self, rng):
@@ -731,7 +756,7 @@ class TestExactOt:
     def test_metric_triangle_inequality(self, rng):
         # with the Euclidean (non-squared) ground metric the optimum is a distance
         m = 5
-        cost_sqrt = GroundCost(m).euclidean_matrix
+        cost_sqrt = np.sqrt(dense_cost(m))
         hists = [random_histogram(rng, m) for _ in range(4)]
         d = np.zeros((4, 4))
         for i in range(4):
