@@ -13,7 +13,6 @@ from .copula import (
     CopulaHistogram,
     ObservationTable,
     RankColumn,
-    TargetBuilderSpec,
     empirical_copula,
     empirical_copula_from_data,
     normal_inverse_cdf,
@@ -39,7 +38,6 @@ from .formats import load_csv, read_cop, write_cop, write_heatmap
 from .power import PowerResult, estimate_power, make_tfdc_coefficient, tfdc_power_targets
 from .synth import (
     POWER_PATTERNS,
-    ScenarioSpec,
     gen_discontinuity,
     gen_gaussian_pair,
     gen_noisy_parabola,
@@ -75,10 +73,8 @@ __all__ = [
     "ParseError",
     "PowerResult",
     "RankColumn",
-    "ScenarioSpec",
     "SinkhornConfig",
     "TFDCSpec",
-    "TargetBuilderSpec",
     "TransportPlan",
     "centroid_report",
     "cluster_copulas",

@@ -32,7 +32,7 @@ from .formats import (
     write_run_manifest,
 )
 from .power import COEFFICIENTS, estimate_power, make_tfdc_coefficient, tfdc_power_targets
-from .synth import POWER_PATTERNS, ScenarioSpec, generate
+from .synth import POWER_PATTERNS, generate
 from .transport import (
     GroundCost,
     SinkhornConfig,
@@ -157,11 +157,8 @@ def cmd_query(args, table, out):
 
 
 def cmd_synth(args, table, out):
-    spec = ScenarioSpec(
-        kind=args.kind, T=args.T, seed=args.seed, a=args.a, offset=args.offset,
-        pattern=args.pattern, noise_level=args.noise_level, rho=args.rho,
-    )
-    x, y = generate(spec)
+    x, y = generate(args.kind, args.T, args.seed, a=args.a, offset=args.offset,
+                    pattern=args.pattern, noise_level=args.noise_level, rho=args.rho)
     write_csv_atomic(out / "data.csv", ["x", "y"],
                      [(float(a), float(b)) for a, b in zip(x, y)])
 

@@ -9,7 +9,7 @@ index = u_y bin, both ascending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -28,7 +28,6 @@ __all__ = [
     "CopulaHistogram",
     "ObservationTable",
     "RankColumn",
-    "TargetBuilderSpec",
     "empirical_copula",
     "empirical_copula_from_data",
     "normal_inverse_cdf",
@@ -134,48 +133,6 @@ class CopulaHistogram:
 
     def same_bits(self, other: "CopulaHistogram") -> bool:
         return self.mass.shape == other.mass.shape and np.array_equal(self.mass, other.mass)
-
-
-@dataclass(frozen=True)
-class TargetBuilderSpec:
-    """Recipe for a reference copula grid.
-
-    kind: one of "frechet_upper", "frechet_lower", "independence",
-    "gaussian" (needs rho in (-1, 1)) or "patch" (needs patches, a list of
-    ((u_min, u_max, v_min, v_max), weight) entries painted on `base`,
-    defaulting to the independence grid).
-    """
-
-    kind: str
-    m: int
-    rho: float = 0.0
-    patches: tuple = ()
-    base: CopulaHistogram | None = None
-
-    _KINDS = ("frechet_upper", "frechet_lower", "independence", "gaussian", "patch")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise InvalidParameter(f"unknown copula kind {self.kind!r}; choose from {self._KINDS}")
-        if self.m < 2:
-            raise InvalidParameter(f"grid resolution m must be >= 2, got {self.m}")
-        if self.kind == "gaussian" and not -1.0 < self.rho < 1.0:
-            raise InvalidParameter(f"gaussian rho must lie in (-1, 1), got {self.rho}")
-        if self.kind == "patch":
-            if not self.patches:
-                raise InvalidParameter("patch spec needs at least one rectangle")
-            weights = []
-            for rect, w in self.patches:
-                u0, u1, v0, v1 = rect
-                if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
-                    raise InvalidParameter(f"rectangle {rect} is not inside the unit square")
-                if w < 0:
-                    raise InvalidParameter(f"patch weight {w} is negative")
-                weights.append(w)
-            if max(weights) <= 0:
-                raise InvalidParameter("at least one patch weight must be positive")
-            if self.base is not None and self.base.m != self.m:
-                raise InvalidParameter("patch base resolution differs from spec resolution")
 
 
 def rank_transform(column) -> RankColumn:
@@ -284,12 +241,20 @@ def _gaussian_density_grid(rho: float, m: int) -> np.ndarray:
     return density / density.sum()
 
 
-def _paint_patches(spec: TargetBuilderSpec) -> np.ndarray:
-    m = spec.m
-    base = spec.base.mass if spec.base is not None else np.full((m, m), 1.0 / (m * m))
-    grid = base.copy()
+def _paint_patches(m: int, patches) -> np.ndarray:
+    if not patches:
+        raise InvalidParameter("patch copula needs at least one rectangle")
+    for rect, w in patches:
+        u0, u1, v0, v1 = rect
+        if not (0.0 <= u0 < u1 <= 1.0 and 0.0 <= v0 < v1 <= 1.0):
+            raise InvalidParameter(f"rectangle {rect} is not inside the unit square")
+        if w < 0:
+            raise InvalidParameter(f"patch weight {w} is negative")
+    if max(w for _, w in patches) <= 0:
+        raise InvalidParameter("at least one patch weight must be positive")
+    grid = np.full((m, m), 1.0 / (m * m))
     edges = np.arange(m + 1) / m
-    for (u0, u1, v0, v1), w in spec.patches:
+    for (u0, u1, v0, v1), w in patches:
         if w == 0.0:
             continue
         # Cell gets weight proportional to its overlap area with the rectangle;
@@ -300,28 +265,39 @@ def _paint_patches(spec: TargetBuilderSpec) -> np.ndarray:
     return grid
 
 
-def reference_copula(spec: TargetBuilderSpec) -> CopulaHistogram:
-    """Build a reference copula grid from a TargetBuilderSpec.
+def reference_copula(kind: str, m: int, *, rho: float = 0.0, patches=()) -> CopulaHistogram:
+    """Build an m-by-m reference copula grid, m >= 2.
 
-    frechet_upper/lower put mass 1/m on the diagonal/anti-diagonal,
-    independence is the flat grid, gaussian evaluates the analytic copula
-    density at cell centers and restores uniform margins by IPF, and patch
-    paints weighted rectangles on a base grid before the same projection.
+    "frechet_upper" / "frechet_lower" put mass 1/m on each diagonal /
+    anti-diagonal cell and "independence" is the flat grid. "gaussian"
+    evaluates the Gaussian copula density with correlation rho in (-1, 1) at
+    cell centers. "patch" adds weighted rectangles to the independence grid:
+    patches is a nonempty sequence of ((u_min, u_max, v_min, v_max), weight)
+    entries, each rectangle inside the unit square, each weight >= 0 and at
+    least one > 0, and a rectangle's weight spreads over the cells in
+    proportion to their overlap with it. Both then restore uniform margins by
+    IPF. Only "gaussian" reads rho and only "patch" reads patches.
     """
-    m = spec.m
-    if spec.kind == "independence":
+    kinds = ("frechet_upper", "frechet_lower", "independence", "gaussian", "patch")
+    if kind not in kinds:
+        raise InvalidParameter(f"unknown copula kind {kind!r}; choose from {kinds}")
+    if m < 2:
+        raise InvalidParameter(f"grid resolution m must be >= 2, got {m}")
+    if kind == "independence":
         return CopulaHistogram(np.full((m, m), 1.0 / (m * m)))
-    if spec.kind == "frechet_upper":
+    if kind == "frechet_upper":
         grid = np.zeros((m, m))
         np.fill_diagonal(grid, 1.0 / m)
         return CopulaHistogram(grid)
-    if spec.kind == "frechet_lower":
+    if kind == "frechet_lower":
         grid = np.zeros((m, m))
         grid[np.arange(m), m - 1 - np.arange(m)] = 1.0 / m
         return CopulaHistogram(grid)
-    if spec.kind == "gaussian":
-        return project_uniform_margins(_gaussian_density_grid(spec.rho, m), tol=1e-12)
-    return project_uniform_margins(_paint_patches(spec), tol=1e-12)
+    if kind == "gaussian":
+        if not -1.0 < rho < 1.0:
+            raise InvalidParameter(f"gaussian rho must lie in (-1, 1), got {rho}")
+        return project_uniform_margins(_gaussian_density_grid(rho, m), tol=1e-12)
+    return project_uniform_margins(_paint_patches(m, patches), tol=1e-12)
 
 
 def spearman_from_copula(c: CopulaHistogram) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .copula import CopulaHistogram, ObservationTable
-from .errors import InvalidData, IoError, ParseError
+from .errors import IoError, ParseError
 
 __all__ = [
     "load_csv",

@@ -15,12 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .copula import (
-    CopulaHistogram,
-    TargetBuilderSpec,
-    empirical_copula_from_data,
-    reference_copula,
-)
+from .copula import CopulaHistogram, empirical_copula_from_data, reference_copula
 from .dependence import TFDCSpec, distance_correlation, pearson, rdc, spearman, tfdc
 from .errors import CoptransError, InvalidParameter
 from .synth import POWER_PATTERNS, gen_power_pattern, pattern_extrema
@@ -96,7 +91,7 @@ def tfdc_power_targets(m: int = 20, T_ref: int = 100_000, seed: int = 0,
     linear, quadratic, cubic, sin4pi, circle and step.
     """
     targets = tuple(power_target_copulas(m, T_ref, seed).values())
-    forget = reference_copula(TargetBuilderSpec("independence", m))
+    forget = reference_copula("independence", m)
     # Detection-grade solver settings: a loose marginal target and a modest
     # iteration cap keep the many replicate evaluations fast. They cost
     # accuracy: against solves at tol=1e-9, values at these settings moved
@@ -130,7 +125,8 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     coefficient that raises a CoptransError on a replicate (a degenerate
     column, a failed solve) counts as a non-rejection (the replicate stays in
     the denominator); such failures on null replicates push that replicate to
-    the bottom of the null distribution. Any other exception is a bug and
+    the bottom of the null distribution. When every replicate fails,
+    InvalidParameter names the first error. Any other exception is a bug and
     propagates. With null_vs_null=True the alternative data are permuted
     too, which calibrates the size of the test.
     """
@@ -147,10 +143,13 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     else:
         name, func = getattr(coefficient, "__name__", "custom"), coefficient
 
+    failures: list[str] = []
+
     def safe(x, y):
         try:
             return float(func(x, y))
-        except CoptransError:
+        except CoptransError as exc:
+            failures.append(str(exc))
             return -np.inf
 
     null_stats = np.empty(n_sims)
@@ -161,6 +160,9 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
         null_stats[rep] = safe(x, rng.permutation(y))
         alt_stats[rep] = safe(x, rng.permutation(y) if null_vs_null else y)
 
+    if len(failures) == 2 * n_sims:
+        raise InvalidParameter(f"coefficient {name!r} gave no value at sample_size="
+                               f"{sample_size}; first error: {failures[0]}")
     threshold = float(np.quantile(null_stats, 1.0 - REJECTION_LEVEL, method="higher"))
     power = float(np.mean(alt_stats > threshold))
     return PowerResult(

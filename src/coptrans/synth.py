@@ -6,15 +6,12 @@ order, numpy Generator streams, bit-identical output on repeat calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameter
 
 __all__ = [
     "POWER_PATTERNS",
-    "ScenarioSpec",
     "gen_discontinuity",
     "gen_gaussian_pair",
     "gen_noisy_parabola",
@@ -35,36 +32,28 @@ POWER_PATTERNS = (
 )
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Declarative form of a generator call, used by the CLI."""
+def generate(kind: str, T: int, seed: int, *, a: float = 0.5, offset: float = 0.0,
+             pattern: str = "linear", noise_level: float = 0.0,
+             rho: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw T samples of one scenario kind; each kind reads only its own parameters.
 
-    kind: str  # discontinuity | noisy_parabola | power_pattern | gaussian_pair
-    T: int
-    seed: int
-    a: float = 0.5             # discontinuity switch point
-    offset: float = 0.0        # parabola vertex shift
-    pattern: str = "linear"    # power pattern id
-    noise_level: float = 0.0
-    rho: float = 0.0
-
-    def __post_init__(self):
-        if self.T < 2:
-            raise InvalidParameter(f"need T >= 2, got {self.T}")
-        if not 0 <= self.noise_level < np.inf:
-            raise InvalidParameter(f"noise_level must be finite and >= 0, got {self.noise_level}")
-
-
-def generate(spec: ScenarioSpec) -> tuple[np.ndarray, np.ndarray]:
-    if spec.kind == "discontinuity":
-        return gen_discontinuity(spec.a, spec.T, spec.seed)
-    if spec.kind == "noisy_parabola":
-        return gen_noisy_parabola(spec.offset, spec.T, spec.seed)
-    if spec.kind == "power_pattern":
-        return gen_power_pattern(spec.pattern, spec.noise_level, spec.T, spec.seed)
-    if spec.kind == "gaussian_pair":
-        return gen_gaussian_pair(spec.rho, spec.T, spec.seed)
-    raise InvalidParameter(f"unknown scenario kind {spec.kind!r}")
+    "discontinuity" reads a, "noisy_parabola" offset, "power_pattern" pattern
+    and noise_level, and "gaussian_pair" rho (see the gen_* functions). Every
+    kind needs T >= 2 and a finite, nonnegative noise_level.
+    """
+    if T < 2:
+        raise InvalidParameter(f"need T >= 2, got {T}")
+    if not 0 <= noise_level < np.inf:
+        raise InvalidParameter(f"noise_level must be finite and >= 0, got {noise_level}")
+    if kind == "discontinuity":
+        return gen_discontinuity(a, T, seed)
+    if kind == "noisy_parabola":
+        return gen_noisy_parabola(offset, T, seed)
+    if kind == "power_pattern":
+        return gen_power_pattern(pattern, noise_level, T, seed)
+    if kind == "gaussian_pair":
+        return gen_gaussian_pair(rho, T, seed)
+    raise InvalidParameter(f"unknown scenario kind {kind!r}")
 
 
 def gen_discontinuity(a: float, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

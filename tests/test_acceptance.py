@@ -8,14 +8,12 @@ depend on scheduling or thread counts; criterion 9 checks that.
 """
 
 import itertools
-import json
 import os
 import subprocess
 import sys
 import time
 
 import numpy as np
-import pytest
 
 from conftest import dense_cost
 from coptrans import (
@@ -23,7 +21,6 @@ from coptrans import (
     GroundCost,
     SinkhornConfig,
     TFDCSpec,
-    TargetBuilderSpec,
     cluster_copulas,
     default_lambda,
     empirical_copula_from_data,
@@ -76,8 +73,8 @@ def test_criterion_1_tfdc_monotone_reproduction():
     with Criterion(1, "TFDC monotone in the shared-driver experiment"):
         t0 = time.time()
         m, T = 20, 5000
-        upper = reference_copula(TargetBuilderSpec("frechet_upper", m))
-        indep = reference_copula(TargetBuilderSpec("independence", m))
+        upper = reference_copula("frechet_upper", m)
+        indep = reference_copula("independence", m)
         spec = TFDCSpec(targets=(upper,), forgets=(indep,), cost=GroundCost(m),
                         cfg=SinkhornConfig(lam=default_lambda(m)))
         grid = np.round(np.arange(0.0, 1.0001, 0.05), 2)

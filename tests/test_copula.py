@@ -9,7 +9,6 @@ from coptrans import (
     InfeasibleProjection,
     InvalidData,
     InvalidParameter,
-    TargetBuilderSpec,
     empirical_copula,
     empirical_copula_from_data,
     normal_inverse_cdf,
@@ -108,8 +107,8 @@ class TestEmpiricalCopula:
         # cumulative sums of W <= C <= M cellwise, within quadrature slack 1/m
         m = 16
         c = empirical_copula_from_data(rng.standard_normal(800), rng.standard_normal(800), m)
-        upper = reference_copula(TargetBuilderSpec("frechet_upper", m))
-        lower = reference_copula(TargetBuilderSpec("frechet_lower", m))
+        upper = reference_copula("frechet_upper", m)
+        lower = reference_copula("frechet_lower", m)
 
         def cdf(h):
             return h.mass.cumsum(axis=0).cumsum(axis=1)
@@ -120,22 +119,22 @@ class TestEmpiricalCopula:
 
 class TestReferenceCopula:
     def test_independence_uniform(self):
-        c = reference_copula(TargetBuilderSpec("independence", 4))
+        c = reference_copula("independence", 4)
         assert np.allclose(c.mass, 1 / 16)
 
     def test_frechet_upper_diagonal(self):
-        c = reference_copula(TargetBuilderSpec("frechet_upper", 4))
+        c = reference_copula("frechet_upper", 4)
         expected = np.zeros((4, 4))
         np.fill_diagonal(expected, 0.25)
         assert np.array_equal(c.mass, expected)
 
     def test_gaussian_rho_zero_equals_independence(self):
-        g = reference_copula(TargetBuilderSpec("gaussian", 8, rho=0.0))
-        pi = reference_copula(TargetBuilderSpec("independence", 8))
+        g = reference_copula("gaussian", 8, rho=0.0)
+        pi = reference_copula("independence", 8)
         assert np.abs(g.mass - pi.mass).max() < 1e-9
 
     def test_gaussian_margins_uniform(self):
-        g = reference_copula(TargetBuilderSpec("gaussian", 20, rho=0.7))
+        g = reference_copula("gaussian", 20, rho=0.7)
         assert np.abs(g.mass.sum(axis=0) - 0.05).max() < 1e-9
         assert np.abs(g.mass.sum(axis=1) - 0.05).max() < 1e-9
         # positive dependence concentrates mass on the diagonal corners
@@ -143,19 +142,18 @@ class TestReferenceCopula:
 
     def test_gaussian_rho_validation(self):
         with pytest.raises(InvalidParameter):
-            TargetBuilderSpec("gaussian", 8, rho=1.0)
+            reference_copula("gaussian", 8, rho=1.0)
 
     def test_patch_margins_and_weight_validation(self):
-        spec = TargetBuilderSpec("patch", 10, patches=(((0.0, 0.5, 0.0, 0.5), 2.0),))
-        c = reference_copula(spec)
+        c = reference_copula("patch", 10, patches=(((0.0, 0.5, 0.0, 0.5), 2.0),))
         assert np.abs(c.mass.sum(axis=0) - 0.1).max() < 1e-9
         # IPF preserves the block odds ratio 9, so the corner holds exactly
         # 3/8 (independence baseline would be 1/4)
         assert abs(c.mass[:5, :5].sum() - 0.375) < 1e-9
         with pytest.raises(InvalidParameter):
-            TargetBuilderSpec("patch", 10, patches=(((0.0, 0.5, 0.0, 0.5), 0.0),))
+            reference_copula("patch", 10, patches=(((0.0, 0.5, 0.0, 0.5), 0.0),))
         with pytest.raises(InvalidParameter):
-            TargetBuilderSpec("patch", 10, patches=(((0.7, 0.2, 0.0, 0.5), 1.0),))
+            reference_copula("patch", 10, patches=(((0.7, 0.2, 0.0, 0.5), 1.0),))
 
 
 class TestProjectUniformMargins:
@@ -190,30 +188,30 @@ class TestProjectUniformMargins:
 
 class TestSpearmanFromCopula:
     def test_independence_zero(self):
-        assert abs(spearman_from_copula(reference_copula(TargetBuilderSpec("independence", 12)))) < 1e-9
+        assert abs(spearman_from_copula(reference_copula("independence", 12))) < 1e-9
 
     def test_comonotone_quadrature_value(self):
         # direct quadrature oracle: 12/m * sum((p+1/2)^2/m^2) - 3 = 1 - 1/m^2
         m = 16
         centers = (np.arange(m) + 0.5) / m
         oracle = 12.0 * np.sum(centers * centers) / m - 3.0
-        value = spearman_from_copula(reference_copula(TargetBuilderSpec("frechet_upper", m)))
+        value = spearman_from_copula(reference_copula("frechet_upper", m))
         assert abs(value - oracle) < 1e-12
         assert abs(oracle - (1.0 - 1.0 / m**2)) < 1e-12
         assert value >= 0.99
 
     def test_countermonotone_is_negated(self):
         m = 16
-        up = spearman_from_copula(reference_copula(TargetBuilderSpec("frechet_upper", m)))
-        dn = spearman_from_copula(reference_copula(TargetBuilderSpec("frechet_lower", m)))
+        up = spearman_from_copula(reference_copula("frechet_upper", m))
+        dn = spearman_from_copula(reference_copula("frechet_lower", m))
         assert abs(up + dn) < 1e-12
 
     def test_mass_conservation_all_constructors(self, rng):
         hists = [
-            reference_copula(TargetBuilderSpec("independence", 9)),
-            reference_copula(TargetBuilderSpec("frechet_upper", 9)),
-            reference_copula(TargetBuilderSpec("frechet_lower", 9)),
-            reference_copula(TargetBuilderSpec("gaussian", 9, rho=-0.4)),
+            reference_copula("independence", 9),
+            reference_copula("frechet_upper", 9),
+            reference_copula("frechet_lower", 9),
+            reference_copula("gaussian", 9, rho=-0.4),
             empirical_copula_from_data(rng.uniform(size=100), rng.uniform(size=100), 9),
             random_copula_grid(rng, 9),
         ]

@@ -8,7 +8,6 @@ from coptrans import (
     InvalidData,
     SinkhornConfig,
     TFDCSpec,
-    TargetBuilderSpec,
     default_lambda,
     distance_correlation,
     empirical_copula_from_data,
@@ -24,9 +23,9 @@ from coptrans import (
 
 def standard_spec(m=20, debias=False, **cfg_kw):
     """Forget = independence, targets = the two extreme-dependence grids."""
-    up = reference_copula(TargetBuilderSpec("frechet_upper", m))
-    dn = reference_copula(TargetBuilderSpec("frechet_lower", m))
-    pi = reference_copula(TargetBuilderSpec("independence", m))
+    up = reference_copula("frechet_upper", m)
+    dn = reference_copula("frechet_lower", m)
+    pi = reference_copula("independence", m)
     return TFDCSpec(targets=(up, dn), forgets=(pi,), cost=GroundCost(m),
                     cfg=SinkhornConfig(lam=default_lambda(m), **cfg_kw), debias=debias)
 
@@ -34,16 +33,16 @@ def standard_spec(m=20, debias=False, **cfg_kw):
 class TestTfdc:
     def test_forget_member_is_exactly_zero(self):
         spec = standard_spec(m=8)
-        assert tfdc(reference_copula(TargetBuilderSpec("independence", 8)), spec) == 0.0
+        assert tfdc(reference_copula("independence", 8), spec) == 0.0
 
     def test_target_member_is_exactly_one(self):
         spec = standard_spec(m=8)
-        assert tfdc(reference_copula(TargetBuilderSpec("frechet_upper", 8)), spec) == 1.0
-        assert tfdc(reference_copula(TargetBuilderSpec("frechet_lower", 8)), spec) == 1.0
+        assert tfdc(reference_copula("frechet_upper", 8), spec) == 1.0
+        assert tfdc(reference_copula("frechet_lower", 8), spec) == 1.0
 
     def test_member_of_both_sets_is_ambiguous(self):
-        pi = reference_copula(TargetBuilderSpec("independence", 8))
-        up = reference_copula(TargetBuilderSpec("frechet_upper", 8))
+        pi = reference_copula("independence", 8)
+        up = reference_copula("frechet_upper", 8)
         spec = TFDCSpec(targets=(pi, up), forgets=(pi,), cost=GroundCost(8),
                         cfg=SinkhornConfig(lam=default_lambda(8)))
         with pytest.raises(AmbiguousSpec):
@@ -52,7 +51,7 @@ class TestTfdc:
     def test_resolution_mismatch(self):
         spec = standard_spec(m=8)
         with pytest.raises(InvalidData):
-            tfdc(reference_copula(TargetBuilderSpec("independence", 10)), spec)
+            tfdc(reference_copula("independence", 10), spec)
 
     def test_standard_instantiation_on_data(self):
         # forget={independence}, targets={extremes}: strong dependence scores
@@ -97,8 +96,8 @@ class TestTfdc:
 
     def test_debias_keeps_boundaries_and_range(self):
         spec = standard_spec(m=10, debias=True)
-        pi = reference_copula(TargetBuilderSpec("independence", 10))
-        up = reference_copula(TargetBuilderSpec("frechet_upper", 10))
+        pi = reference_copula("independence", 10)
+        up = reference_copula("frechet_upper", 10)
         assert tfdc(pi, spec) == 0.0
         assert tfdc(up, spec) == 1.0
         rng = np.random.default_rng(9)
@@ -106,7 +105,7 @@ class TestTfdc:
         assert 0.0 <= tfdc(c, spec) <= 1.0
 
     def test_spec_validation(self):
-        up = reference_copula(TargetBuilderSpec("frechet_upper", 8))
+        up = reference_copula("frechet_upper", 8)
         with pytest.raises(InvalidData):
             TFDCSpec(targets=(), forgets=(up,), cost=GroundCost(8),
                      cfg=SinkhornConfig(lam=1.0))

@@ -11,9 +11,7 @@ import pytest
 from conftest import random_histogram
 import coptrans
 from coptrans import (
-    CopulaHistogram,
     ParseError,
-    TargetBuilderSpec,
     load_csv,
     read_cop,
     reference_copula,
@@ -86,7 +84,7 @@ class TestCopFormat:
 
 class TestHeatmap:
     def test_uniform_grid_uniform_pixels(self, tmp_path):
-        pi = reference_copula(TargetBuilderSpec("independence", 6))
+        pi = reference_copula("independence", 6)
         path = tmp_path / "pi.pgm"
         write_heatmap(pi, path)
         lines = path.read_text().splitlines()
@@ -96,7 +94,7 @@ class TestHeatmap:
 
     def test_comonotone_black_diagonal_bottom_left_to_top_right(self, tmp_path):
         m = 5
-        up = reference_copula(TargetBuilderSpec("frechet_upper", m))
+        up = reference_copula("frechet_upper", m)
         path = tmp_path / "m.pgm"
         write_heatmap(up, path)
         rows = [
@@ -143,8 +141,8 @@ CLI_RUNS = [
 
 def fill_cli_run(argv, data, tmp_path):
     files = {"DATA": data, "UP": tmp_path / "up.cop", "PI": tmp_path / "pi.cop"}
-    write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 6)), files["UP"])
-    write_cop(reference_copula(TargetBuilderSpec("independence", 6)), files["PI"])
+    write_cop(reference_copula("frechet_upper", 6), files["UP"])
+    write_cop(reference_copula("independence", 6), files["PI"])
     return [str(files.get(a, a)) for a in argv] + ["--out", str(tmp_path / "o")]
 
 
@@ -171,7 +169,7 @@ class TestCli:
 
         target_dir = tmp_path / "target"
         target_dir.mkdir()
-        target = reference_copula(TargetBuilderSpec("frechet_upper", 8))
+        target = reference_copula("frechet_upper", 8)
         write_cop(target, target_dir / "up.cop")
         qdir = tmp_path / "q"
         assert main(["query", "--input", str(dataset), "--m", "8",
@@ -193,9 +191,9 @@ class TestCli:
     def test_tfdc_matrix(self, dataset, tmp_path):
         refs = tmp_path / "refs"
         refs.mkdir()
-        write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 8)), refs / "up.cop")
-        write_cop(reference_copula(TargetBuilderSpec("frechet_lower", 8)), refs / "dn.cop")
-        write_cop(reference_copula(TargetBuilderSpec("independence", 8)), refs / "pi.cop")
+        write_cop(reference_copula("frechet_upper", 8), refs / "up.cop")
+        write_cop(reference_copula("frechet_lower", 8), refs / "dn.cop")
+        write_cop(reference_copula("independence", 8), refs / "pi.cop")
         out = tmp_path / "tfdc"
         assert main(["tfdc", "--input", str(dataset), "--m", "8",
                      "--targets", str(refs / "up.cop"), str(refs / "dn.cop"),
@@ -215,8 +213,8 @@ class TestCli:
         names = ["a,b", "c", 'd"q']
         refs = tmp_path / "refs"
         refs.mkdir()
-        write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 6)), refs / "up.cop")
-        write_cop(reference_copula(TargetBuilderSpec("independence", 6)), refs / "pi.cop")
+        write_cop(reference_copula("frechet_upper", 6), refs / "up.cop")
+        write_cop(reference_copula("independence", 6), refs / "pi.cop")
         assert main(["dist", "--input", str(f), "--m", "6", "--out", str(tmp_path / "d")]) == 0
         assert main(["tfdc", "--input", str(f), "--m", "6", "--targets", str(refs / "up.cop"),
                      "--forgets", str(refs / "pi.cop"), "--out", str(tmp_path / "t")]) == 0
@@ -310,6 +308,13 @@ class TestCli:
         pytest.param(["power", "--patterns", "linear", "--noise-levels", "",
                       "--coefficients", "pearson", "--n-sims", "10", "--sample-size", "60",
                       "--seed", "1"], id="power-noise-levels-empty"),
+        pytest.param(["synth", "--kind", "discontinuity", "--T", "1", "--seed", "1"],
+                     id="synth-T-1"),
+        pytest.param(["synth", "--kind", "gaussian_pair", "--noise-level", "nan", "--T", "50",
+                      "--seed", "1"], id="synth-noise-level-nan"),
+        pytest.param(["power", "--patterns", "linear", "--noise-levels", "0",
+                      "--coefficients", "dcor", "--n-sims", "10", "--sample-size", "3",
+                      "--seed", "1"], id="power-dcor-sample-size-3"),
     ])
     def test_exit_code_out_of_range_parameter(self, dataset, tmp_path, argv):
         argv = [str(dataset) if a == "DATA" else a for a in argv]
@@ -334,7 +339,7 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     def test_query_target_of_another_resolution_exits_2(self, dataset, tmp_path, capsys):
-        write_cop(reference_copula(TargetBuilderSpec("frechet_upper", 6)), tmp_path / "up.cop")
+        write_cop(reference_copula("frechet_upper", 6), tmp_path / "up.cop")
         assert main(["query", "--input", str(dataset), "--m", "8",
                      "--target", str(tmp_path / "up.cop"), "--out", str(tmp_path / "q")]) == 2
         assert "resolution 6 does not match --m 8" in capsys.readouterr().err

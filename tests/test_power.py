@@ -34,11 +34,22 @@ class TestEstimatePower:
 
     def test_failing_coefficient_counts_as_non_rejection(self):
         def broken(x, y):
-            raise DegenerateColumn("no value")
+            # the noise-free linear alternative has y == x; a null replicate permutes y
+            if np.array_equal(x, y):
+                raise DegenerateColumn("no value")
+            return 0.0
 
         broken.__name__ = "broken"
         res = estimate_power("linear", 0.0, broken, n_sims=20, sample_size=50, seed=4)
         assert res.power == 0.0
+
+    def test_coefficient_without_any_value_is_rejected(self):
+        def broken(x, y):
+            raise DegenerateColumn("no value")
+
+        broken.__name__ = "broken"
+        with pytest.raises(InvalidParameter, match=r"'broken'.*sample_size=50.*no value"):
+            estimate_power("linear", 0.0, broken, n_sims=20, sample_size=50, seed=4)
 
     def test_coefficient_bug_propagates(self):
         def buggy(x, y):

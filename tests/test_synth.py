@@ -3,7 +3,6 @@ import pytest
 
 from coptrans import (
     InvalidParameter,
-    TargetBuilderSpec,
     distance_correlation,
     empirical_copula_from_data,
     gen_discontinuity,
@@ -14,7 +13,7 @@ from coptrans import (
     reference_copula,
     spearman,
 )
-from coptrans.synth import POWER_PATTERNS, ScenarioSpec, generate
+from coptrans.synth import POWER_PATTERNS, generate
 
 
 class TestDiscontinuity:
@@ -124,7 +123,7 @@ class TestPowerPatterns:
             with pytest.raises(InvalidParameter):
                 gen_power_pattern("linear", level, 100, 0)
             with pytest.raises(InvalidParameter):
-                ScenarioSpec(kind="power_pattern", T=100, seed=0, noise_level=level)
+                generate("power_pattern", 100, 0, noise_level=level)
 
 
 class TestGaussianPair:
@@ -141,7 +140,7 @@ class TestGaussianPair:
     def test_empirical_matches_analytic_gaussian_grid(self):
         x, y = gen_gaussian_pair(0.7, 100_000, 5)
         emp = empirical_copula_from_data(x, y, 20)
-        ana = reference_copula(TargetBuilderSpec("gaussian", 20, rho=0.7))
+        ana = reference_copula("gaussian", 20, rho=0.7)
         tv = 0.5 * np.abs(emp.mass - ana.mass).sum()
         assert tv <= 0.05
 
@@ -150,16 +149,14 @@ class TestGaussianPair:
             gen_gaussian_pair(1.5, 100, 0)
 
 
-class TestScenarioSpec:
+class TestGenerate:
     def test_dispatch_matches_direct_calls(self):
-        spec = ScenarioSpec(kind="power_pattern", T=100, seed=4, pattern="step",
-                            noise_level=0.2)
-        x1, y1 = generate(spec)
+        x1, y1 = generate("power_pattern", 100, 4, pattern="step", noise_level=0.2)
         x2, y2 = gen_power_pattern("step", 0.2, 100, 4)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
     def test_validation(self):
         with pytest.raises(InvalidParameter):
-            ScenarioSpec(kind="discontinuity", T=1, seed=0)
+            generate("discontinuity", 1, 0)
         with pytest.raises(InvalidParameter):
-            generate(ScenarioSpec(kind="nope", T=10, seed=0))
+            generate("nope", 10, 0)

@@ -17,7 +17,6 @@ from coptrans import (
     InvalidParameter,
     OracleTooLarge,
     SinkhornConfig,
-    TargetBuilderSpec,
     default_lambda,
     exact_ot,
     pairwise_distance_matrix,
@@ -262,8 +261,8 @@ class TestSinkhornDistance:
 
     def test_extreme_grids_two_bins(self):
         m = 2
-        up = reference_copula(TargetBuilderSpec("frechet_upper", m))
-        dn = reference_copula(TargetBuilderSpec("frechet_lower", m))
+        up = reference_copula("frechet_upper", m)
+        dn = reference_copula("frechet_lower", m)
         # every unit of mass moves exactly one grid step of squared length
         # (1/2)^2, so any feasible plan costs 0.25: value is exact
         value, _, _ = sinkhorn_distance(up, dn, GroundCost(m), SinkhornConfig(lam=2000.0))
@@ -727,8 +726,8 @@ class TestExactOt:
         assert np.abs(plan.sum(axis=1) - h.mass.ravel()).max() < 1e-9
 
     def test_extreme_grids_quarter(self):
-        up = reference_copula(TargetBuilderSpec("frechet_upper", 2))
-        dn = reference_copula(TargetBuilderSpec("frechet_lower", 2))
+        up = reference_copula("frechet_upper", 2)
+        dn = reference_copula("frechet_lower", 2)
         value, _ = exact_ot(up, dn, GroundCost(2))
         assert abs(value - 0.25) < 1e-12
 
@@ -796,8 +795,8 @@ class TestSinkhornDivergence:
         assert sinkhorn_divergences([h], h, cost, cfg)[0] == 0.0
 
     def test_extreme_grids(self):
-        up = reference_copula(TargetBuilderSpec("frechet_upper", 2))
-        dn = reference_copula(TargetBuilderSpec("frechet_lower", 2))
+        up = reference_copula("frechet_upper", 2)
+        dn = reference_copula("frechet_lower", 2)
         val = sinkhorn_divergences([up], dn, GroundCost(2), SinkhornConfig(lam=2000.0))[0]
         assert abs(val - 0.25) < 0.25 * 0.02
 
@@ -896,8 +895,8 @@ class TestPairwiseDistanceMatrix:
         assert out.shape == (1, 1) and out[0, 0] >= 0.0
 
     def test_extreme_grids_off_diagonal(self):
-        up = reference_copula(TargetBuilderSpec("frechet_upper", 2))
-        dn = reference_copula(TargetBuilderSpec("frechet_lower", 2))
+        up = reference_copula("frechet_upper", 2)
+        dn = reference_copula("frechet_lower", 2)
         out = pairwise_distance_matrix([up, dn], GroundCost(2), SinkhornConfig(lam=2000.0))
         assert abs(out[0, 1] - 0.25) < 0.25 * 0.02
         assert out[0, 1] == out[1, 0]
