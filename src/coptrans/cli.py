@@ -31,8 +31,9 @@ from .formats import (
     write_heatmap,
     write_run_manifest,
 )
-from .power import COEFFICIENTS, estimate_power, make_tfdc_coefficient, tfdc_power_targets
-from .synth import POWER_PATTERNS, generate
+from .power import (COEFFICIENTS, estimate_power, make_tfdc_coefficient, registry_coefficient,
+                    tfdc_power_targets)
+from .synth import POWER_PATTERNS, check_power_pattern, generate
 from .transport import (
     GroundCost,
     SinkhornConfig,
@@ -133,11 +134,11 @@ def cmd_tfdc(args, table, out):
         debias=args.debias,
     )
     n = table.N
+    iu, ju = np.triu_indices(n)
+    copulas = [empirical_copula_from_data(table.column(i), table.column(j), args.m)
+               for i, j in zip(iu, ju)]
     matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cop = empirical_copula_from_data(table.column(i), table.column(j), args.m)
-            matrix[i, j] = matrix[j, i] = tfdc(cop, spec)
+    matrix[iu, ju] = matrix[ju, iu] = tfdc(copulas, spec)
     rows = [[table.names[i]] + [float(v) for v in matrix[i]] for i in range(n)]
     write_csv_atomic(out / "tfdc-matrix.csv", ["variable"] + list(table.names), rows)
 
@@ -170,6 +171,13 @@ def cmd_power(args, table, out):
     except ValueError as exc:  # float's message names the bad entry
         raise InvalidParameter(f"--noise-levels: {exc}") from None
     coefficients = args.coefficients.split(",")
+    # check every input before the first cell, which can take minutes
+    for pattern in patterns:
+        for noise in noise_levels:
+            check_power_pattern(pattern, noise)
+    for name in coefficients:
+        if name != "tfdc":
+            registry_coefficient(name)
     spec = None
     if "tfdc" in coefficients:
         spec = tfdc_power_targets(m=args.m, T_ref=args.t_ref, seed=args.seed,

@@ -16,7 +16,7 @@ from scipy import linalg
 
 from .copula import CopulaHistogram, rank_transform
 from .errors import AmbiguousSpec, DegenerateColumn, InvalidData
-from .transport import GroundCost, SinkhornConfig, sinkhorn_divergences, sinkhorn_values_batch
+from .transport import GroundCost, SinkhornConfig, sinkhorn_values_batch
 
 __all__ = [
     "TFDCSpec",
@@ -53,37 +53,46 @@ class TFDCSpec:
         object.__setattr__(self, "forgets", forgets)
 
 
-def tfdc(c: CopulaHistogram, spec: TFDCSpec) -> float:
-    """Target/forget dependence coefficient in [0, 1].
+def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
+    """Target/forget dependence coefficient in [0, 1] of each copula in a list.
 
     min_l d(F_l, c) / (min_l d(F_l, c) + min_k d(c, T_k)); exactly 0 when c
-    is bit-equal to a forget copula and exactly 1 when bit-equal to a target,
-    short-circuiting before any transport solve so the boundary identities
-    hold despite the entropic self-distance bias.
+    is bit-equal to a forget copula and exactly 1 when bit-equal to a target.
+    These boundary cases, and AmbiguousSpec, are settled for every copula
+    before any transport solve, so the identities hold despite the entropic
+    self-distance bias. The other copulas x references are solved as one
+    `sinkhorn_values_batch` call, whose values never depend on batch mates.
+    With spec.debias each distance is d(x, c) - (d(x, x) + d(c, c)) / 2,
+    clipped at 0, and each self-distance is solved once per call.
     """
-    if c.m != spec.cost.m:
-        raise InvalidData(f"copula resolution {c.m} does not match spec ({spec.cost.m})")
-    in_targets = any(c.same_bits(t) for t in spec.targets)
-    in_forgets = any(c.same_bits(f) for f in spec.forgets)
-    if in_targets and in_forgets:
-        raise AmbiguousSpec("copula belongs to both the target and the forget set")
-    if in_forgets:
-        return 0.0
-    if in_targets:
-        return 1.0
+    scores = np.full(len(copulas), np.nan)
+    for i, c in enumerate(copulas):
+        in_targets = any(c.same_bits(t) for t in spec.targets)
+        in_forgets = any(c.same_bits(f) for f in spec.forgets)
+        if in_targets and in_forgets:
+            raise AmbiguousSpec("copula belongs to both the target and the forget set")
+        if in_targets or in_forgets:
+            scores[i] = 1.0 if in_targets else 0.0
+    todo = [c for c, score in zip(copulas, scores) if np.isnan(score)]
+    if not todo:
+        return scores
 
     refs = list(spec.forgets) + list(spec.targets)
+    n, k = len(todo), len(refs)
+    selfs = refs + todo if spec.debias else []
+    vals = sinkhorn_values_batch(refs * n + selfs, [c for c in todo for _ in refs] + selfs,
+                                 spec.cost, spec.cfg)
+    d = vals[:n * k].reshape(n, k)
     if spec.debias:
-        vals = np.maximum(sinkhorn_divergences(refs, c, spec.cost, spec.cfg), 0.0)
-    else:
-        vals = sinkhorn_values_batch(refs, [c] * len(refs), spec.cost, spec.cfg)
-    d_forget = float(vals[: len(spec.forgets)].min())
-    d_target = float(vals[len(spec.forgets):].min())
+        d = np.maximum(d - 0.5 * (vals[n * k:n * k + k] + vals[n * k + k:, None]), 0.0)
+    d_forget = d[:, :len(spec.forgets)].min(axis=1)
+    d_target = d[:, len(spec.forgets):].min(axis=1)
 
     denom = d_forget + d_target
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise AmbiguousSpec("copula is at distance zero from both sets")
-    return d_forget / denom
+    scores[np.isnan(scores)] = d_forget / denom
+    return scores
 
 
 def _finite_pair(x, y):

@@ -42,6 +42,13 @@ COEFFICIENTS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
 }
 
 
+def registry_coefficient(name: str) -> Callable[[np.ndarray, np.ndarray], float]:
+    """COEFFICIENTS[name]; InvalidParameter names the choices for an unknown name."""
+    if name not in COEFFICIENTS:
+        raise InvalidParameter(f"unknown coefficient {name!r}; choose from {sorted(COEFFICIENTS)}")
+    return COEFFICIENTS[name]
+
+
 @dataclass(frozen=True)
 class PowerResult:
     pattern: str
@@ -110,7 +117,7 @@ def make_tfdc_coefficient(spec: TFDCSpec) -> Callable[[np.ndarray, np.ndarray], 
     m = spec.cost.m
 
     def coefficient(x, y):
-        return tfdc(empirical_copula_from_data(x, y, m), spec)
+        return float(tfdc([empirical_copula_from_data(x, y, m)], spec)[0])
 
     coefficient.__name__ = "tfdc"
     return coefficient
@@ -135,11 +142,7 @@ def estimate_power(pattern: str, noise_level: float, coefficient, n_sims: int,
     if sample_size < 2:
         raise InvalidParameter(f"need sample_size >= 2, got {sample_size}")
     if isinstance(coefficient, str):
-        if coefficient not in COEFFICIENTS:
-            raise InvalidParameter(
-                f"unknown coefficient {coefficient!r}; choose from {sorted(COEFFICIENTS)}"
-            )
-        name, func = coefficient, COEFFICIENTS[coefficient]
+        name, func = coefficient, registry_coefficient(coefficient)
     else:
         name, func = getattr(coefficient, "__name__", "custom"), coefficient
 

@@ -137,11 +137,7 @@ def gen_power_pattern(pattern: str, noise_level: float, T: int,
     outputs are bit-identical for a given seed. Noise is
     noise_level * (y range of the clean pattern) * N(0, 1).
     """
-    if pattern not in POWER_PATTERNS:
-        raise InvalidParameter(f"unknown power pattern {pattern!r}; choose from {POWER_PATTERNS}")
-    # a NaN level would skip the noise below and return clean data
-    if not 0 <= noise_level < np.inf:
-        raise InvalidParameter(f"noise_level must be finite and >= 0, got {noise_level}")
+    check_power_pattern(pattern, noise_level)
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=T)
     if pattern == "circle":
@@ -152,6 +148,15 @@ def gen_power_pattern(pattern: str, noise_level: float, T: int,
     if noise_level > 0:
         y = y + noise_level * _pattern_range(pattern) * rng.standard_normal(T)
     return x, y
+
+
+def check_power_pattern(pattern: str, noise_level: float):
+    """Raise InvalidParameter unless `gen_power_pattern` takes (pattern, noise_level)."""
+    if pattern not in POWER_PATTERNS:
+        raise InvalidParameter(f"unknown power pattern {pattern!r}; choose from {POWER_PATTERNS}")
+    # a NaN level would skip the noise and return clean data
+    if not 0 <= noise_level < np.inf:
+        raise InvalidParameter(f"noise_level must be finite and >= 0, got {noise_level}")
 
 
 def gen_gaussian_pair(rho: float, T: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

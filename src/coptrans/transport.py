@@ -90,13 +90,16 @@ class SinkhornConfig:
 
     lam is the sharpness of the dual form: the plan solves
     min <P, M> - h(P)/lam over the transportation polytope. Larger lam means
-    closer to the exact optimum and slower convergence. tol is the iteration
-    target for the L-inf marginal violation. The 1e-4 default stops short of
-    the entropic optimum: on 40 pairs of m=12 copulas at default lam, values
-    sat a median 11.9% above the exact optimum, against 0.08% run to
-    convergence. A problem also stops, as stalled, after 5 residual checks
-    without a 10% gain; that fires on slow convergence too, so its residual
-    can stay above tol. The polytope rounding restores exact plan marginals
+    closer to the exact optimum and slower convergence. max_iter is each
+    problem's own iteration budget: its last anneal stage runs at most
+    max_iter less its own warm-up iterations, and at least one, so a slow
+    batch mate never shortens it. tol is the iteration target for the L-inf
+    marginal violation. The 1e-4 default stops short of the entropic
+    optimum: on 40 pairs of m=12 copulas at default lam, values sat a median
+    11.9% above the exact optimum, against 0.08% run to convergence. A
+    problem also stops, as stalled, after 5 residual checks without a 10%
+    gain; that fires on slow convergence too, so its residual can stay
+    above tol. The polytope rounding restores exact plan marginals
     either way, so returned values are always feasible-plan costs.
     """
 
@@ -412,7 +415,7 @@ def _anneal_schedule(lam: float, m: int) -> list[float]:
 # -inf potentials outside the support make NaN in the relaxation combination,
 # which np.where masks back to -inf at once
 @np.errstate(invalid="ignore")
-def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv):
+def _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv):
     """Over-relaxed scaling updates with per-problem stopping.
 
     Over-relaxation keeps the plain Sinkhorn fixed point but contracts much
@@ -421,20 +424,22 @@ def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv):
     mass keep their potentials pinned at -inf, outside the relaxation
     combination. Each iteration applies the kernel to the new lu and the new
     lv, and the residual check and the next u half-step reuse both, so a
-    call makes 1 + 2 * iterations applications.
+    call makes 1 + 2 * (largest iteration count) applications.
 
     The updates are elementwise-independent across the batch, and every
     problem freezes its potentials the moment its own stopping rule fires,
     so each result is a pure function of its own inputs, never of its batch
-    mates. A problem freezes when its residual is below tol, or as stalled
-    after 5 checks in a row at plain updates without a 10% gain on its best
-    residual. That rule also fires on slow convergence, so a stalled problem
-    can freeze well above tol. At each residual check the frozen problems
-    are written to the outputs and dropped from every per-problem array, so
-    later iterations touch only the problems still open; `active` maps the
-    remaining rows back to their batch positions. Returns (lu, lv,
-    residuals, iterations, stalled) with per-problem residuals and stall
-    flags.
+    mates. `budget` is each problem's own iteration cap, an int or a (B,)
+    array. A problem checks its residual every _CHECK_EVERY iterations and
+    at its own cap, never at a batch mate's, and freezes when its residual
+    is below tol, at its cap, or as stalled after 5 checks in a row at
+    plain updates without a 10% gain on its best residual. That rule also
+    fires on slow convergence, so a stalled problem can freeze well above
+    tol. At each residual check the frozen problems are written to the
+    outputs and dropped from every per-problem array, so later iterations
+    touch only the problems still open; `active` maps the remaining rows
+    back to their batch positions. Returns (lu, lv, residuals, iterations,
+    stalled), each per problem.
     """
     B = R.shape[0]
     sup_r = np.isfinite(lr)
@@ -448,45 +453,49 @@ def _scaling_loop(k, lr, lc, R, C, tol, max_iter, lu, lv):
     out_lu = lu.copy()
     out_lv = lv.copy()
     residuals = np.full(B, np.inf)
-    it = 0
+    iters = np.zeros(B, dtype=int)
+    cap = np.broadcast_to(budget, (B,))
+    next_cap = cap.min()  # the smallest cap still open
     klv = _log_kernel_apply(k, lv)
-    for it in range(1, max_iter + 1):
+    for it in range(1, cap.max() + 1):
         lu = np.where(sup_r, (1.0 - theta) * lu + theta * (lr - klv), neg_inf)
         klu = _log_kernel_apply(k, lu)
         lv = np.where(sup_c, (1.0 - theta) * lv + theta * (lc - klu), neg_inf)
         klv = _log_kernel_apply(k, lv)
-        if it % _CHECK_EVERY == 0 or it == max_iter:
+        if it % _CHECK_EVERY == 0 or it == next_cap:
+            at_cap = cap == it
+            check = at_cap | (it % _CHECK_EVERY == 0)
             res = np.maximum(
                 np.abs(np.exp(lu + klv) - R).max(axis=(-2, -1)),
                 np.abs(np.exp(lv + klu) - C).max(axis=(-2, -1)),
             )
-            converged = res < tol
-            no_gain = ~converged & (res > 0.9 * best)
-            improving = ~converged & ~no_gain
+            converged = check & (res < tol)
+            no_gain = check & ~converged & (res > 0.9 * best)
+            improving = check & ~converged & ~no_gain
             hot = theta[:, 0, 0] > 1.0
             theta[:, 0, 0] = np.where(
                 no_gain & hot, np.maximum(1.0, theta[:, 0, 0] - 0.35), theta[:, 0, 0]
             )
             stagnant = np.where(no_gain & ~hot, stagnant + 1, stagnant)
             stagnant[improving] = 0
+            best = np.where(check, np.minimum(best, res), best)
             newly_stalled = stagnant >= 5
-            freeze = converged | newly_stalled
-            if it == max_iter:
-                freeze[:] = True
+            freeze = converged | newly_stalled | at_cap
             stalled[active[newly_stalled]] = True
             if np.any(freeze):
                 out_lu[active[freeze]] = lu[freeze]
                 out_lv[active[freeze]] = lv[freeze]
                 residuals[active[freeze]] = res[freeze]
+                iters[active[freeze]] = it
                 keep = ~freeze
                 if not keep.any():
                     break
                 active = active[keep]
                 lu, lv, lr, lc, R, C = lu[keep], lv[keep], lr[keep], lc[keep], R[keep], C[keep]
                 sup_r, sup_c, theta, klv = sup_r[keep], sup_c[keep], theta[keep], klv[keep]
-                best, stagnant, res = best[keep], stagnant[keep], res[keep]
-            best = np.minimum(best, res)
-    return out_lu, out_lv, residuals, it, stalled
+                best, stagnant, cap = best[keep], stagnant[keep], cap[keep]
+                next_cap = cap.min()
+    return out_lu, out_lv, residuals, iters, stalled
 
 
 def _lex_swap_mask(R: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -509,10 +518,13 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     """Batched scaling iterations with sharpness annealing.
 
     R, C have shape (B, m, m); returns (values, log_u, log_v, err_r, err_c,
-    corrections, iters). Warm-starting through the sharpness ramp changes
-    nothing about the fixed point at cfg.lam; it only accelerates
+    corrections, iters), iters being the list of each problem's own
+    iteration count over all stages. Warm-starting through the sharpness
+    ramp changes nothing about the fixed point at cfg.lam; it only accelerates
     convergence, and the schedule is a pure function of (lam, m). Every
-    problem stops on its own rule, so batching never changes results. The
+    problem stops on its own rule and within its own budget: the last
+    stage may run cfg.max_iter less the problem's own warm-up iterations,
+    at least one, so batching never changes results, failures included. The
     final plan is rounded onto the polytope, making the returned values
     costs of exactly feasible plans. Its deficits are closed by
     `_close_deficits`, whose LPs run on several threads; each is a pure
@@ -528,16 +540,16 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     lv = np.zeros_like(C)
     lu = np.zeros_like(R)
     schedule = _anneal_schedule(cfg.lam, cost.m)
-    total_iters = 0
+    total_iters = np.zeros(len(R), dtype=int)
     for stage, lam_s in enumerate(schedule):
         k = _kernel(-lam_s * cost.axis_cost)
         last = stage == len(schedule) - 1
         if last:
-            tol, budget = cfg.tol, max(cfg.max_iter - total_iters, 1)
+            tol, budget = cfg.tol, np.maximum(cfg.max_iter - total_iters, 1)
         else:
             tol, budget = max(cfg.tol, 1e-4), min(1000, cfg.max_iter)
-        lu, lv, residuals, it, stalled = _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv)
-        total_iters += it
+        lu, lv, residuals, iters, stalled = _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv)
+        total_iters += iters
         if not last:
             ratio = schedule[stage + 1] / lam_s
             lu = lu * ratio
@@ -550,7 +562,7 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
         worst = float(residuals[failed].max())
         raise ConvergenceFailure(
             f"sinkhorn residual {worst:.3e} >= tol {cfg.tol:.1e} after "
-            f"{total_iters} iterations (lam={cfg.lam:g})",
+            f"{', '.join(map(str, np.unique(total_iters[failed])))} iterations (lam={cfg.lam:g})",
             residual=worst,
             value=float(values[0]) if len(values) == 1 else values.tolist(),
             pair=tuple(int(b) for b in np.flatnonzero(failed)),
@@ -568,7 +580,7 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     out_lv = np.where(swap, lu, lv)
     out_er = np.where(swap, err_c, err_r)
     out_ec = np.where(swap, err_r, err_c)
-    return values, out_lu, out_lv, out_er, out_ec, corrections, total_iters
+    return values, out_lu, out_lv, out_er, out_ec, corrections, total_iters.tolist()
 
 
 def _check_pair(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost):
@@ -590,7 +602,7 @@ def sinkhorn_distance(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
         r.mass[None, :, :], c.mass[None, :, :], cost, cfg
     )
     plan = TransportPlan(cost.m, cfg.lam, lu[0], lv[0], er[0], ec[0], corrs[0])
-    return float(values[0]), plan, iters
+    return float(values[0]), plan, iters[0]
 
 
 def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:
@@ -615,22 +627,6 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
             exc.pair = tuple(start + b for b in exc.pair)
             raise
     return np.concatenate(values)
-
-
-def sinkhorn_divergences(xs, c: CopulaHistogram, cost: GroundCost,
-                         cfg: SinkhornConfig) -> np.ndarray:
-    """Debiased values S(x, c) = d(x, c) - (d(x, x) + d(c, c)) / 2 for each x.
-
-    d(x, c), d(x, x) and the shared d(c, c) are solved as one batch. The
-    debiasing removes the entropic self-distance bias near the 0/1 ends of
-    the target/forget coefficient. S is symmetric, and S(c, c) is exactly 0:
-    its three values are one problem solved three times, and a value never
-    depends on its batch mates.
-    """
-    xs = list(xs)
-    n = len(xs)
-    vals = sinkhorn_values_batch(xs + xs + [c], [c] * n + xs + [c], cost, cfg)
-    return vals[:n] - 0.5 * (vals[n:2 * n] + vals[-1])
 
 
 def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:

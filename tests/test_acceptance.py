@@ -81,7 +81,7 @@ def test_criterion_1_tfdc_monotone_reproduction():
         tfdc_curve, spearman_curve = [], []
         for a in grid:
             x, y = gen_discontinuity(float(a), T, seed=42)
-            tfdc_curve.append(tfdc(empirical_copula_from_data(x, y, m), spec))
+            tfdc_curve.append(tfdc([empirical_copula_from_data(x, y, m)], spec)[0])
             spearman_curve.append(spearman(x, y))
         steps = np.diff(tfdc_curve)
         # recorded, not asserted: the spearman curve and its sign at a=0.75
@@ -115,9 +115,9 @@ def test_criterion_2_boundary_identities():
             spec = TFDCSpec(targets=targets, forgets=forgets, cost=cost, cfg=cfg,
                             debias=bool(rng.integers(2)))
             for member in forgets:
-                assert tfdc(member, spec) == 0.0
+                assert tfdc([member], spec)[0] == 0.0
             for member in targets:
-                assert tfdc(member, spec) == 1.0
+                assert tfdc([member], spec)[0] == 1.0
 
 
 def test_criterion_3_sinkhorn_vs_exact_oracle():

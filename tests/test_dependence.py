@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_sample_copula
 from coptrans import (
     AmbiguousSpec,
     DegenerateColumn,
@@ -19,6 +20,7 @@ from coptrans import (
     spearman_from_copula,
     tfdc,
 )
+from coptrans.transport import sinkhorn_values_batch
 
 
 def standard_spec(m=20, debias=False, **cfg_kw):
@@ -33,12 +35,12 @@ def standard_spec(m=20, debias=False, **cfg_kw):
 class TestTfdc:
     def test_forget_member_is_exactly_zero(self):
         spec = standard_spec(m=8)
-        assert tfdc(reference_copula("independence", 8), spec) == 0.0
+        assert tfdc([reference_copula("independence", 8)], spec)[0] == 0.0
 
     def test_target_member_is_exactly_one(self):
         spec = standard_spec(m=8)
-        assert tfdc(reference_copula("frechet_upper", 8), spec) == 1.0
-        assert tfdc(reference_copula("frechet_lower", 8), spec) == 1.0
+        assert tfdc([reference_copula("frechet_upper", 8)], spec)[0] == 1.0
+        assert tfdc([reference_copula("frechet_lower", 8)], spec)[0] == 1.0
 
     def test_member_of_both_sets_is_ambiguous(self):
         pi = reference_copula("independence", 8)
@@ -46,12 +48,12 @@ class TestTfdc:
         spec = TFDCSpec(targets=(pi, up), forgets=(pi,), cost=GroundCost(8),
                         cfg=SinkhornConfig(lam=default_lambda(8)))
         with pytest.raises(AmbiguousSpec):
-            tfdc(pi, spec)
+            tfdc([pi], spec)[0]
 
     def test_resolution_mismatch(self):
         spec = standard_spec(m=8)
         with pytest.raises(InvalidData):
-            tfdc(reference_copula("independence", 10), spec)
+            tfdc([reference_copula("independence", 10)], spec)[0]
 
     def test_standard_instantiation_on_data(self):
         # forget={independence}, targets={extremes}: strong dependence scores
@@ -63,9 +65,9 @@ class TestTfdc:
         counter = empirical_copula_from_data(z, -z, 20)
         indep = empirical_copula_from_data(rng.standard_normal(5000),
                                            rng.standard_normal(5000), 20)
-        assert tfdc(como, spec) >= 0.9
-        assert tfdc(counter, spec) >= 0.9
-        assert tfdc(indep, spec) <= 0.15
+        assert tfdc([como], spec)[0] >= 0.9
+        assert tfdc([counter], spec)[0] >= 0.9
+        assert tfdc([indep], spec)[0] <= 0.15
 
     def test_ordering_agrees_with_exact_transport_oracle(self):
         # same comparison at m=8 with exact LP distances
@@ -81,28 +83,58 @@ class TestTfdc:
             d_target = min(exact_ot(c, t, spec.cost)[0] for t in spec.targets)
             return d_forget / (d_forget + d_target)
 
-        assert tfdc(noisy, spec) > tfdc(indep, spec)
+        assert tfdc([noisy], spec)[0] > tfdc([indep], spec)[0]
         assert exact_ratio(noisy) > exact_ratio(indep)
-        assert abs(tfdc(noisy, spec) - exact_ratio(noisy)) < 0.05
+        assert abs(tfdc([noisy], spec)[0] - exact_ratio(noisy)) < 0.05
 
     def test_monotone_transform_invariance_bitwise(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(1000)
         y = x**3 + rng.standard_normal(1000)
         spec = standard_spec()
-        base = tfdc(empirical_copula_from_data(x, y, 20), spec)
-        moved = tfdc(empirical_copula_from_data(np.exp(x), 5 * y - 2, 20), spec)
+        base = tfdc([empirical_copula_from_data(x, y, 20)], spec)[0]
+        moved = tfdc([empirical_copula_from_data(np.exp(x), 5 * y - 2, 20)], spec)[0]
         assert base == moved
 
     def test_debias_keeps_boundaries_and_range(self):
         spec = standard_spec(m=10, debias=True)
         pi = reference_copula("independence", 10)
         up = reference_copula("frechet_upper", 10)
-        assert tfdc(pi, spec) == 0.0
-        assert tfdc(up, spec) == 1.0
+        assert tfdc([pi], spec)[0] == 0.0
+        assert tfdc([up], spec)[0] == 1.0
         rng = np.random.default_rng(9)
         c = empirical_copula_from_data(rng.uniform(size=500), rng.uniform(size=500), 10)
-        assert 0.0 <= tfdc(c, spec) <= 1.0
+        assert 0.0 <= tfdc([c], spec)[0] <= 1.0
+
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_batch_equals_one_copula_calls_bitwise(self, rng, debias):
+        # 22 copulas against 3 references are 66 problems (91 debiased), so
+        # the batch crosses the 64-problem chunk boundary; the forget and
+        # target members mixed in score exactly 0 and 1
+        spec = standard_spec(m=8, debias=debias)
+        copulas = [random_sample_copula(rng, 8, T=40) for _ in range(22)]
+        copulas[3:3] = [spec.forgets[0]]
+        copulas[10:10] = [spec.targets[0]]
+        copulas.append(spec.targets[1])
+        scores = tfdc(copulas, spec)
+        assert np.array_equal(scores, [tfdc([c], spec)[0] for c in copulas])
+        assert (scores[3], scores[10], scores[-1]) == (0.0, 1.0, 1.0)
+
+    def test_debiased_scores_follow_the_formula_bitwise(self, rng):
+        # S(x, c) = d(x, c) - (d(x, x) + d(c, c)) / 2, clipped at 0, from
+        # one-problem solves
+        spec = standard_spec(m=8, debias=True)
+        refs = [*spec.forgets, *spec.targets]
+        copulas = [random_sample_copula(rng, 8, T=40) for _ in range(4)]
+
+        def d(a, b):
+            return sinkhorn_values_batch([a], [b], spec.cost, spec.cfg)[0]
+
+        expected = []
+        for c in copulas:
+            s = [max(d(x, c) - 0.5 * (d(x, x) + d(c, c)), 0.0) for x in refs]
+            expected.append(s[0] / (s[0] + min(s[1:])))
+        assert np.array_equal(tfdc(copulas, spec), expected)
 
     def test_spec_validation(self):
         up = reference_copula("frechet_upper", 8)

@@ -18,7 +18,7 @@ from coptrans import (
     write_cop,
     write_heatmap,
 )
-from coptrans import ConvergenceFailure, cli, transport
+from coptrans import ConvergenceFailure, cli, dependence, transport
 from coptrans.cli import build_parser, main
 
 
@@ -205,6 +205,29 @@ class TestCli:
         assert matrix[0, 2] <= 0.3           # x and z are not
         assert np.allclose(matrix, matrix.T)
 
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_tfdc_solves_every_pair_in_one_batch(self, dataset, tmp_path, monkeypatch, debias):
+        # 3 variables give 6 copulas, none bit-equal to one of the 3 references
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        write_cop(reference_copula("frechet_lower", 8), refs / "dn.cop")
+        write_cop(reference_copula("gaussian", 8, rho=0.5), refs / "g.cop")
+        write_cop(reference_copula("independence", 8), refs / "pi.cop")
+        solve = dependence.sinkhorn_values_batch
+        problems = []
+
+        def recording(rs, cs, cost, cfg):
+            problems.append(len(rs))
+            return solve(rs, cs, cost, cfg)
+
+        monkeypatch.setattr(dependence, "sinkhorn_values_batch", recording)
+        assert main(["tfdc", "--input", str(dataset), "--m", "8",
+                     "--targets", str(refs / "dn.cop"), str(refs / "g.cop"),
+                     "--forgets", str(refs / "pi.cop"), "--out", str(tmp_path / "t")]
+                    + ["--debias"] * debias) == 0
+        # N(N+1)/2 * K, plus with --debias each copula's and each reference's self-distance
+        assert problems == [6 * 4 + 3 if debias else 6 * 3]
+
     def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         data = rng.uniform(size=(60, 3))
@@ -280,6 +303,34 @@ class TestCli:
         code = main(["copula", "--input", str(dataset),
                      "--out", str(blocker / "sub")])
         assert code == 4
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--patterns", "linear,circle,bogus"),
+        ("--noise-levels", "0,1,-1"),
+        ("--coefficients", "tfdc,dcor,rdc,bogus"),
+    ])
+    def test_power_checks_every_input_before_the_first_cell(self, tmp_path, monkeypatch,
+                                                            flag, value):
+        calls = []
+
+        def counting(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("estimate_power", "tfdc_power_targets"):
+            monkeypatch.setattr(cli, name, counting(name))
+        options = {"--patterns": "linear", "--noise-levels": "0", "--coefficients": "dcor",
+                   flag: value}
+        out = tmp_path / "pw"
+        assert main(["power", *(a for item in options.items() for a in item), "--n-sims", "10",
+                     "--sample-size", "60", "--seed", "1", "--m", "6", "--t-ref", "2000",
+                     "--out", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         out = tmp_path / "pw"

@@ -1,4 +1,5 @@
-"""Import hygiene, checked with `ast` alone: exports resolve, imports are used."""
+"""Import hygiene, checked with `ast` alone: exports resolve, imports and
+definitions are used."""
 
 import ast
 import importlib
@@ -60,3 +61,37 @@ def test_no_unused_imports():
         unused += [f"{rel}:{line} {name}" for name, line in _imported(tree).items()
                    if name not in used and (rel, name) not in UNUSED_ALLOWED]
     assert unused == []
+
+
+def _referenced(nodes) -> set[str]:
+    """Every name the nodes load, read as an attribute or import."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_definition_is_exported_or_referenced():
+    # a module-level function or class outside its module's __all__ must be
+    # referenced somewhere in the package beyond its own definition
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SOURCES if path.parent.name == "coptrans"}
+    unreferenced = []
+    for path, tree in trees.items():
+        exported = _exported(tree)
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name in exported):
+                continue
+            rest = [n for n in tree.body if n is not node]
+            rest += [t for p, t in trees.items() if p != path]
+            if node.name not in _referenced(rest):
+                unreferenced.append(f"{path.relative_to(ROOT).as_posix()}:{node.lineno} "
+                                    f"{node.name}")
+    assert unreferenced == []

@@ -32,7 +32,6 @@ from coptrans.transport import (
     _log_kernel_apply,
     _support_cost,
     _transport_lp,
-    sinkhorn_divergences,
     sinkhorn_values_batch,
 )
 
@@ -385,6 +384,36 @@ class TestBatchedValues:
             assert np.array_equal(batched, swapped)
             assert np.array_equal(batched, single)
 
+    def test_slow_batch_mate_leaves_last_stage_budget_alone(self):
+        # Alone, p runs 50 warm-up iterations and then 140 of the 150 left to
+        # it, and q runs 70 warm-up iterations. Charging q's warm-up to p's
+        # budget would leave p 130 and fail it.
+        rng = np.random.default_rng(10)
+        p = [random_histogram(rng, 8, 2.0) for _ in range(2)]
+        q = [random_histogram(rng, 8, 0.05) for _ in range(2)]
+        cost = GroundCost(8)
+        cfg = SinkhornConfig(lam=default_lambda(8), tol=1e-6, max_iter=200)
+        alone = [sinkhorn_distance(r, c, cost, cfg)[0] for r, c in (p, q)]
+        assert np.array_equal(sinkhorn_values_batch([p[0], q[0]], [p[1], q[1]], cost, cfg),
+                              alone)
+
+    def test_scaling_loop_checks_each_problem_at_its_own_cap(self, rng):
+        # a cap off the every-10 schedule is checked for its own problem only
+        m = 6
+        R = np.stack([random_histogram(rng, m).mass for _ in range(2)])
+        C = np.stack([random_sample_copula(rng, m, T=30).mass for _ in range(2)])
+        lr, lc = transport._safe_log(R), transport._safe_log(C)
+        k = _kernel(-default_lambda(m) * GroundCost(m).axis_cost)
+        budget = np.array([37, 500])
+        both = transport._scaling_loop(k, lr, lc, R, C, 1e-9, budget, np.zeros_like(R),
+                                       np.zeros_like(C))
+        assert both[3][0] == 37 < both[3][1]
+        for b in range(2):
+            alone = transport._scaling_loop(k, lr[b:b + 1], lc[b:b + 1], R[b:b + 1],
+                                            C[b:b + 1], 1e-9, budget[b], np.zeros_like(R[:1]),
+                                            np.zeros_like(C[:1]))
+            assert as_bytes([a[b:b + 1] for a in both]) == as_bytes(alone)
+
     def test_nan_residual_names_failing_problem(self, rng, monkeypatch):
         # A NaN residual must fail its problem, not pass as converged. No
         # known input drives the solver to one, so a wrapped loop plants it
@@ -424,8 +453,9 @@ class TestBatchedValues:
         monkeypatch.setattr(transport, "_log_kernel_apply", counting_kernel)
         lr, lc = transport._safe_log(R), transport._safe_log(C)
         k = _kernel(-default_lambda(m) * cost.axis_cost)
-        *_, it, _ = transport._scaling_loop(k, lr, lc, R, C, 1e-6, 500, np.zeros_like(R),
-                                            np.zeros_like(C))
+        *_, iters, _ = transport._scaling_loop(k, lr, lc, R, C, 1e-6, 500, np.zeros_like(R),
+                                               np.zeros_like(C))
+        it = iters.max()
         assert it > transport._CHECK_EVERY
         assert calls == 1 + 2 * it
 
@@ -786,28 +816,6 @@ class TestLambdaSweep:
             for lo, hi in zip(vals[1:], vals[:-1]):
                 assert lo <= hi + 1e-6
             assert abs(vals[-1] - ev) <= 0.02 * ev
-
-
-class TestSinkhornDivergence:
-    def test_self_divergence_zero(self, rng):
-        h = random_histogram(rng, 8)
-        cost, cfg = GroundCost(8), SinkhornConfig(lam=default_lambda(8))
-        assert sinkhorn_divergences([h], h, cost, cfg)[0] == 0.0
-
-    def test_extreme_grids(self):
-        up = reference_copula("frechet_upper", 2)
-        dn = reference_copula("frechet_lower", 2)
-        val = sinkhorn_divergences([up], dn, GroundCost(2), SinkhornConfig(lam=2000.0))[0]
-        assert abs(val - 0.25) < 0.25 * 0.02
-
-    def test_symmetry(self, rng):
-        cost = GroundCost(6)
-        cfg = SinkhornConfig(lam=default_lambda(6))
-        for _ in range(10):
-            a = random_histogram(rng, 6)
-            b = random_histogram(rng, 6)
-            assert abs(sinkhorn_divergences([a], b, cost, cfg)[0]
-                       - sinkhorn_divergences([b], a, cost, cfg)[0]) < 1e-10
 
 
 class TestBarycenter:
