@@ -101,8 +101,17 @@ def cmd_dist(args, table, out):
 
 def cmd_cluster(args, table, out):
     labels, hists = _pair_copulas(table, args.m)
-    model = cluster_copulas(hists, args.k, GroundCost(args.m), _sinkhorn_config(args),
-                            seed=args.seed, max_rounds=args.max_rounds)
+    try:
+        model = cluster_copulas(hists, args.k, GroundCost(args.m), _sinkhorn_config(args),
+                                seed=args.seed, max_rounds=args.max_rounds)
+    except ConvergenceFailure as exc:
+        # `.pair` holds (member, centroid) pairs when a distance solve failed
+        members = sorted({i for i, _ in exc.pair or ()})
+        if members:
+            names = [f"{labels[i][2]}|{labels[i][3]}" for i in members[:5]]
+            more = ", ..." if len(members) > 5 else ""
+            print(f"failing pairs ({len(members)}): {', '.join(names)}{more}", file=sys.stderr)
+        raise
     for cid, centroid in enumerate(model.centroids):
         write_cop(centroid, out / f"centroid_{cid}.cop")
         write_heatmap(centroid, out / f"centroid_{cid}.pgm")

@@ -28,11 +28,12 @@ class ConvergenceFailure(CoptransError):
     Carries the last marginal residual and the last objective value where one
     is available. From a batched transport solve, `pair` names the problems
     that failed: `sinkhorn_values_batch` gives their positions in the aligned
-    lists, and `pairwise_distance_matrix` remaps them to (i, j) histogram
-    index pairs. `tfdc` does not remap them: they are positions in its own
-    batch, which holds each copula that no boundary case settled against
-    every reference in turn, then, with debias, the references' and the
-    copulas' self-distances.
+    lists, `pairwise_distance_matrix` remaps them to (i, j) histogram
+    index pairs, and `cluster_copulas` to (member, centroid index) pairs,
+    whose members `coptrans cluster` names on stderr. `tfdc` does not remap
+    them: they are positions in its own batch, which holds each copula that
+    no boundary case settled against every reference in turn, then, with
+    debias, the references' and the copulas' self-distances.
     Problems after the first failing chunk of the batch are not solved, so
     they are never named. When deficit-closure LPs fail, every LP of their
     chunk still runs, `pair` names the lowest failing problem only, and the

@@ -16,6 +16,7 @@ from coptrans import (
 )
 from coptrans import clustering
 from coptrans.transport import sinkhorn_values_batch
+from conftest import random_sample_copula
 
 M_GRID = 8
 
@@ -135,12 +136,82 @@ class TestClusterCopulas:
 
     def test_distances_are_batch_values_to_returned_centroids(self, mw_hists, cost_cfg):
         cost, cfg = cost_cfg
-        # converged (2 rounds), and cut at the cap right after a barycenter update
+        # converged (2 rounds), and cut at the cap on the first assignment
         for max_rounds in (100, 1):
             model = cluster_copulas(mw_hists, 2, cost, cfg, seed=3, max_rounds=max_rounds)
-            expected = [[sinkhorn_values_batch([h], [c], cost, cfg)[0] for c in model.centroids]
-                        for h in mw_hists]
-            assert np.array_equal(model.distances, expected)
+            full = np.array([[sinkhorn_values_batch([h], [c], cost, cfg)[0]
+                              for c in model.centroids] for h in mw_hists])
+            solved = np.isfinite(model.distances)
+            assert np.array_equal(model.distances[solved], full[solved])
+            # an entry is skipped only when it is not its member's nearest
+            above = full > full.min(axis=1, keepdims=True)
+            assert np.all(above[~solved])
+        assert not solved.all()
+
+    def test_assignment_is_argmin_of_distances_on_every_exit(self, mw_hists, cost_cfg):
+        cost, cfg = cost_cfg
+        for k, seed in ((2, 3), (2, 11), (3, 0)):
+            for max_rounds in (1, 2, 3, 100):
+                model = cluster_copulas(mw_hists, k, cost, cfg, seed=seed,
+                                        max_rounds=max_rounds)
+                assert np.array_equal(model.assignment, model.distances.argmin(axis=1))
+                assert len(model.objective_trace) <= max_rounds
+
+    def test_cycle_ends_on_its_lowest_objective_round(self):
+        # Round 2 repeats round 0's assignment, so rounds 1 and 2 would
+        # alternate forever; the loop used to run them to max_rounds.
+        rng = np.random.default_rng(138)
+        hists = [random_sample_copula(rng, 6, T=40) for _ in range(16)]
+        cost, cfg = GroundCost(6), SinkhornConfig(lam=default_lambda(6))
+        model = cluster_copulas(hists, 5, cost, cfg, seed=138, max_rounds=10)
+        trace = model.objective_trace
+        assert len(trace) == 3 and trace[2] < trace[1]
+        assert np.array_equal(model.assignment, model.distances.argmin(axis=1))
+        # the model is round 2's, the cycle's lowest
+        values = sinkhorn_values_batch(
+            hists, [model.centroids[c] for c in model.assignment], cost, cfg)
+        assert values.sum() == trace[2]
+
+    @pytest.mark.parametrize("k, seed", [(2, 3), (2, 11), (3, 0)])
+    def test_screen_changes_no_bit(self, mw_hists, cost_cfg, monkeypatch, k, seed):
+        # with a zero bound nothing is skipped: every entry is solved
+        cost, cfg = cost_cfg
+        screened = cluster_copulas(mw_hists, k, cost, cfg, seed=seed)
+        monkeypatch.setattr(clustering, "diagonal_lower_bound",
+                            lambda rs, cs, cost: np.zeros((len(rs), len(cs))))
+        full = cluster_copulas(mw_hists, k, cost, cfg, seed=seed)
+        assert np.isfinite(full.distances).all()
+        assert np.array_equal(screened.assignment, full.assignment)
+        for a, b in zip(screened.centroids, full.centroids, strict=True):
+            assert a.same_bits(b)
+        assert screened.objective_trace == full.objective_trace
+        solved = np.isfinite(screened.distances)
+        assert np.array_equal(screened.distances[solved], full.distances[solved])
+
+    def test_screen_sends_fewer_problems(self, mw_hists, cost_cfg, monkeypatch):
+        cost, cfg = cost_cfg
+        sent = []
+
+        def counting(rs, cs, cost, cfg):
+            sent.append(len(rs))
+            return sinkhorn_values_batch(rs, cs, cost, cfg)
+
+        monkeypatch.setattr(clustering, "sinkhorn_values_batch", counting)
+        cluster_copulas(mw_hists, 3, cost, cfg, seed=0)
+        screened = sum(sent)
+        sent.clear()
+        monkeypatch.setattr(clustering, "diagonal_lower_bound",
+                            lambda rs, cs, cost: np.zeros((len(rs), len(cs))))
+        cluster_copulas(mw_hists, 3, cost, cfg, seed=0)
+        assert screened < sum(sent)
+
+    def test_failures_name_member_and_centroid(self, mw_hists):
+        m = M_GRID
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=5, tol=1e-9)
+        with pytest.raises(ConvergenceFailure) as err:
+            cluster_copulas(mw_hists, 2, GroundCost(m), cfg, seed=0)
+        # the first k-means++ column solves every member against centroid 0
+        assert err.value.pair == tuple((i, 0) for i in range(len(mw_hists)))
 
     def test_k_validation(self, mw_hists, cost_cfg):
         cost, cfg = cost_cfg
@@ -181,10 +252,10 @@ class TestClusterCopulas:
 
     def test_reseeds_end_when_a_cluster_stays_empty(self, mw_hists, cost_cfg, monkeypatch):
         # all-zero distances send every histogram to cluster 0 whatever the re-seed
-        def zero_distances(hists, centroids, cost, cfg):
-            return np.zeros((len(hists), len(centroids)))
+        def zero_distances(hists, centroids, cols, cost, cfg, near=None):
+            return np.zeros((len(hists), len(cols)))
 
-        monkeypatch.setattr(clustering, "_distances_to_centroids", zero_distances)
+        monkeypatch.setattr(clustering, "_nearest_distances", zero_distances)
         cost, cfg = cost_cfg
         with pytest.raises(ConvergenceFailure, match="still empty after 2 re-seeds"):
             cluster_copulas(mw_hists, 2, cost, cfg, seed=0)

@@ -453,6 +453,14 @@ class TestCli:
         assert "transport LP failed" in capsys.readouterr().err
         assert not (tmp_path / "cl").exists()
 
+    def test_cluster_failure_names_the_failing_pairs(self, dataset, tmp_path, capsys):
+        code = main(["cluster", "--input", str(dataset), "--m", "6", "--k", "2", "--seed", "5",
+                     "--max-iter", "5", "--tol", "1e-9", "--out", str(tmp_path / "cl")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failing pairs (3): x|y, x|z, y|z" in err
+        assert "convergence failure" in err
+
     def test_commands_do_not_import_scipy_stats(self, dataset, tmp_path):
         # A fresh interpreter, since this one may have loaded scipy.stats already.
         script = f"""

@@ -32,6 +32,7 @@ from coptrans.transport import (
     _log_kernel_apply,
     _support_cost,
     _transport_lp,
+    diagonal_lower_bound,
     sinkhorn_values_batch,
 )
 
@@ -397,6 +398,19 @@ class TestBatchedValues:
         assert np.array_equal(sinkhorn_values_batch([p[0], q[0]], [p[1], q[1]], cost, cfg),
                               alone)
 
+    @pytest.mark.parametrize("max_iter", [30, 45])
+    def test_max_iter_bounds_iterations_over_all_stages(self, max_iter):
+        # Alone, p runs 20 iterations in its first warm-up stage and then
+        # spends the rest of its budget in the second, so it never runs at
+        # cfg.lam. Each warm-up stage used to get min(1000, max_iter) and the
+        # last at least one: 51 iterations for both budgets.
+        rng = np.random.default_rng(10)
+        p = [random_histogram(rng, 8, 2.0) for _ in range(2)]
+        cfg = SinkhornConfig(lam=default_lambda(8), tol=1e-6, max_iter=max_iter)
+        with pytest.raises(ConvergenceFailure, match=f"after {max_iter} iterations") as err:
+            sinkhorn_distance(p[0], p[1], GroundCost(8), cfg)
+        assert err.value.residual == np.inf
+
     def test_scaling_loop_checks_each_problem_at_its_own_cap(self, rng):
         # a cap off the every-10 schedule is checked for its own problem only
         m = 6
@@ -496,9 +510,10 @@ class TestBatchedValues:
     def test_convergence_failure_names_failing_problems(self, rng):
         m = 6
         cost = GroundCost(m)
-        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=20, tol=1e-8)
-        # a point mass against itself converges within this budget, so only
-        # the random pair at position 66 (in the second chunk) fails
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=40, tol=1e-8)
+        # a point mass against itself converges within this budget, 40
+        # iterations over its 3 stages, so only the random pair at position
+        # 66 (in the second chunk) fails
         rs = [point_mass(m, 2, 3)] * 70
         cs = list(rs)
         rs[66], cs[66] = random_histogram(rng, m), random_histogram(rng, m)
@@ -799,6 +814,42 @@ class TestExactOt:
                     assert d[i, k] <= d[i, j] + d[j, k] + 1e-9
 
 
+class TestDiagonalLowerBound:
+    @staticmethod
+    def pool(rng, m):
+        return ([random_histogram(rng, m) for _ in range(3)]
+                + [random_sample_copula(rng, m, T=40) for _ in range(3)]
+                + [point_mass(m, 0, m - 1), point_mass(m, m // 2, 1)]
+                + [reference_copula(kind, m)
+                   for kind in ("independence", "frechet_upper", "frechet_lower")])
+
+    def test_at_most_the_exact_optimum(self, rng):
+        for m in (2, 3, 5, 8):
+            cost = GroundCost(m)
+            pool = self.pool(rng, m)
+            bound = diagonal_lower_bound(pool, pool, cost)
+            assert np.all(np.diag(bound) == 0.0)
+            for i, a in enumerate(pool):
+                for j, b in enumerate(pool):
+                    assert bound[i, j] <= exact_ot(a, b, cost)[0] * (1.0 + 1e-9)
+
+    def test_sums_the_two_diagonal_quantile_matchings(self, rng):
+        m = 7
+        pool = self.pool(rng, m)
+        bound = diagonal_lower_bound(pool[:6], pool, GroundCost(m))
+        p, q = np.indices((m, m))
+        positions = np.arange(2 * m - 1) / (np.sqrt(2.0) * m)
+        for i, a in enumerate(pool[:6]):
+            for j, b in enumerate(pool):
+                expected = 0.0
+                for diagonal in (p + q, p - q + m - 1):
+                    w_a, w_b = (np.bincount(diagonal.ravel(), h.mass.ravel(), 2 * m - 1)
+                                for h in (a, b))
+                    expected += w2_squared_1d(positions, w_a / w_a.sum(),
+                                              positions, w_b / w_b.sum())
+                assert abs(bound[i, j] - expected) < 1e-12
+
+
 class TestLambdaSweep:
     def test_monotone_and_convergent_to_oracle(self, rng):
         m = 8
@@ -922,9 +973,10 @@ class TestPairwiseDistanceMatrix:
         m = 6
         a = point_mass(m, 2, 3)
         b = random_histogram(rng, m)
-        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=20, tol=1e-8)
-        # a point mass against itself converges within this budget; every
-        # pair that involves the random histogram does not
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=40, tol=1e-8)
+        # a point mass against itself converges within this budget (40
+        # iterations over 3 stages); every pair that involves the random
+        # histogram does not
         with pytest.raises(ConvergenceFailure) as err:
             pairwise_distance_matrix([a, a, b, a], GroundCost(m), cfg)
         assert err.value.pair == ((0, 2), (1, 2), (2, 2), (2, 3))
