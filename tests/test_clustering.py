@@ -145,8 +145,7 @@ class TestClusterCopulas:
             assert np.array_equal(model.distances[solved], full[solved])
             # an entry is skipped only when it is not its member's nearest
             above = full > full.min(axis=1, keepdims=True)
-            assert np.all(above[~solved])
-        assert not solved.all()
+            assert np.all(above[~solved]) and not solved.all()
 
     def test_assignment_is_argmin_of_distances_on_every_exit(self, mw_hists, cost_cfg):
         cost, cfg = cost_cfg
