@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,25 @@ def _pair_copulas(table, m):
     ]
 
 
+@contextmanager
+def _naming_failures(labels, copulas_of):
+    """Print the variable pairs of the copulas a ConvergenceFailure names.
+
+    `copulas_of` maps one entry of `.pair` to the indices into `labels` of
+    the copulas it involves (None for a reference). The first five names
+    and the count go to stderr, and the failure propagates.
+    """
+    try:
+        yield
+    except ConvergenceFailure as exc:
+        failing = sorted({i for p in exc.pair or () for i in copulas_of(p)} - {None})
+        if failing:
+            names = [f"{labels[i][2]}|{labels[i][3]}" for i in failing[:5]]
+            more = ", ..." if len(failing) > 5 else ""
+            print(f"failing pairs ({len(failing)}): {', '.join(names)}{more}", file=sys.stderr)
+        raise
+
+
 def _manifest_params(args):
     return {key: str(value) if isinstance(value, Path) else value
             for key, value in sorted(vars(args).items()) if key != "func"}
@@ -93,7 +113,9 @@ def cmd_copula(args, table, out):
 
 def cmd_dist(args, table, out):
     labels, hists = _pair_copulas(table, args.m)
-    matrix = pairwise_distance_matrix(hists, GroundCost(args.m), _sinkhorn_config(args))
+    # `.pair` holds (i, j) pairs of copula indices
+    with _naming_failures(labels, lambda p: p):
+        matrix = pairwise_distance_matrix(hists, GroundCost(args.m), _sinkhorn_config(args))
     tags = [f"{ni}|{nj}" for _, _, ni, nj in labels]
     rows = [[tags[r]] + [float(v) for v in matrix[r]] for r in range(len(tags))]
     write_csv_atomic(out / "distance-matrix.csv", ["pair"] + tags, rows)
@@ -101,17 +123,10 @@ def cmd_dist(args, table, out):
 
 def cmd_cluster(args, table, out):
     labels, hists = _pair_copulas(table, args.m)
-    try:
+    # `.pair` holds (member, centroid) pairs when a distance solve failed
+    with _naming_failures(labels, lambda p: p[:1]):
         model = cluster_copulas(hists, args.k, GroundCost(args.m), _sinkhorn_config(args),
                                 seed=args.seed, max_rounds=args.max_rounds)
-    except ConvergenceFailure as exc:
-        # `.pair` holds (member, centroid) pairs when a distance solve failed
-        members = sorted({i for i, _ in exc.pair or ()})
-        if members:
-            names = [f"{labels[i][2]}|{labels[i][3]}" for i in members[:5]]
-            more = ", ..." if len(members) > 5 else ""
-            print(f"failing pairs ({len(members)}): {', '.join(names)}{more}", file=sys.stderr)
-        raise
     for cid, centroid in enumerate(model.centroids):
         write_cop(centroid, out / f"centroid_{cid}.cop")
         write_heatmap(centroid, out / f"centroid_{cid}.pgm")
@@ -146,8 +161,11 @@ def cmd_tfdc(args, table, out):
     iu, ju = np.triu_indices(n)
     copulas = [empirical_copula_from_data(table.column(i), table.column(j), args.m)
                for i, j in zip(iu, ju)]
+    labels = [(i, j, table.names[i], table.names[j]) for i, j in zip(iu, ju)]
     matrix = np.zeros((n, n))
-    matrix[iu, ju] = matrix[ju, iu] = tfdc(copulas, spec)
+    # `.pair` holds (copula, reference) pairs
+    with _naming_failures(labels, lambda p: p[:1]):
+        matrix[iu, ju] = matrix[ju, iu] = tfdc(copulas, spec)
     rows = [[table.names[i]] + [float(v) for v in matrix[i]] for i in range(n)]
     write_csv_atomic(out / "tfdc-matrix.csv", ["variable"] + list(table.names), rows)
 
@@ -155,8 +173,10 @@ def cmd_tfdc(args, table, out):
 def cmd_query(args, table, out):
     (target,) = _load_cop_set([args.target], args.m)
     labels, hists = _pair_copulas(table, args.m)
-    values = sinkhorn_values_batch(hists, [target] * len(hists), GroundCost(args.m),
-                                   _sinkhorn_config(args))
+    # `.pair` holds copula indices
+    with _naming_failures(labels, lambda p: (p,)):
+        values = sinkhorn_values_batch(hists, [target] * len(hists), GroundCost(args.m),
+                                       _sinkhorn_config(args))
     order = np.argsort(values, kind="stable")
     rows = [
         (rank, labels[idx][2], labels[idx][3], float(values[idx]))

@@ -138,19 +138,28 @@ class CopulaHistogram:
 def rank_transform(column) -> RankColumn:
     """Normalized rank transform: u[t] = rank(x[t]) / T, average ranks on ties.
 
-    Ties are runs of equal values in a stable sort (-0.0 ties 0.0). Each run
-    ranks at the mean of its first and last 1-based positions, an exact
-    half-integer, so dividing by T is the only rounding.
+    Ties are runs of equal values in the sorted column (-0.0 ties 0.0; NaN
+    is rejected before the sort). Each run ranks at the mean of its first and
+    last 1-based positions, an exact half-integer, so dividing by T is the
+    only rounding. A run's positions depend only on the sorted values, not
+    on how the sort ordered equal ones, so any correct sort gives the same
+    ranks, and numpy's default unstable one is the fastest. When no two
+    sorted neighbours are equal, every run is one position g, whose mean
+    rank 0.5 * (g + (g + 1) + 1) is exactly g + 1, so the ranks are the
+    positions + 1 directly, with the same bits.
     """
     arr = _as_finite_vector(column, "column")
     if arr.min() == arr.max():
         raise DegenerateColumn("constant column has no rank structure")
-    order = np.argsort(arr, kind="stable")
+    order = np.argsort(arr)
     s = arr[order]
     starts = np.concatenate(([True], s[1:] != s[:-1]))
-    bounds = np.append(np.flatnonzero(starts), arr.size)  # run g: [bounds[g], bounds[g + 1])
     ranks = np.empty(arr.size)
-    ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(starts) - 1]
+    if starts.all():
+        ranks[order] = np.arange(1.0, arr.size + 1)
+    else:
+        bounds = np.append(np.flatnonzero(starts), arr.size)  # run g: [bounds[g], bounds[g + 1])
+        ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(starts) - 1]
     return RankColumn(ranks / arr.size)
 
 
@@ -163,15 +172,18 @@ def _bin_indices(u: np.ndarray, m: int) -> np.ndarray:
 
 
 def empirical_copula(x: RankColumn, y: RankColumn, m: int) -> CopulaHistogram:
-    """Bin two rank columns into an m-by-m copula histogram (mass 1/T per point)."""
+    """Bin two rank columns into an m-by-m copula histogram (mass 1/T per point).
+
+    Cells are counted as integers over the flat index p * m + q. A count
+    below 2^53 converts to float exactly, so count / T is the only rounding.
+    """
     if len(x) != len(y):
         raise InvalidData(f"rank columns differ in length: {len(x)} vs {len(y)}")
     T = len(x)
     if not 2 <= m <= T:
         raise InvalidData(f"need 2 <= m <= T, got m={m}, T={T}")
-    counts = np.zeros((m, m))
-    np.add.at(counts, (_bin_indices(x.u, m), _bin_indices(y.u, m)), 1.0)
-    return CopulaHistogram(counts / T)
+    counts = np.bincount(_bin_indices(x.u, m) * m + _bin_indices(y.u, m), minlength=m * m)
+    return CopulaHistogram((counts / T).reshape(m, m))
 
 
 def empirical_copula_from_data(x, y, m: int) -> CopulaHistogram:

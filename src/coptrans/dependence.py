@@ -15,7 +15,7 @@ import numpy as np
 from scipy import linalg
 
 from .copula import CopulaHistogram, rank_transform
-from .errors import AmbiguousSpec, DegenerateColumn, InvalidData
+from .errors import AmbiguousSpec, ConvergenceFailure, DegenerateColumn, InvalidData
 from .transport import GroundCost, SinkhornConfig, sinkhorn_values_batch
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "distance_correlation",
     "pearson",
     "rdc",
+    "reference_self_distances",
     "spearman",
     "tfdc",
 ]
@@ -53,7 +54,7 @@ class TFDCSpec:
         object.__setattr__(self, "forgets", forgets)
 
 
-def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
+def tfdc(copulas, spec: TFDCSpec, *, ref_self=None) -> np.ndarray:
     """Target/forget dependence coefficient in [0, 1] of each copula in a list.
 
     min_l d(F_l, c) / (min_l d(F_l, c) + min_k d(c, T_k)); exactly 0 when c
@@ -63,8 +64,15 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
     self-distance bias. The other copulas x references are solved as one
     `sinkhorn_values_batch` call, whose values never depend on batch mates.
     With spec.debias each distance is d(x, c) - (d(x, x) + d(c, c)) / 2,
-    clipped at 0, and each self-distance is solved once per call.
+    clipped at 0, and each self-distance is solved once per call. `ref_self`
+    takes the references' self-distances from `reference_self_distances`,
+    so that many calls on one spec solve them once; it changes no bit.
+
+    A ConvergenceFailure names (copula index, reference index) pairs in
+    `.pair`, references counted over the forgets, then the targets; a
+    self-distance has None on its missing side.
     """
+    copulas = list(copulas)
     scores = np.full(len(copulas), np.nan)
     for i, c in enumerate(copulas):
         in_targets = any(c.same_bits(t) for t in spec.targets)
@@ -73,26 +81,52 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
             raise AmbiguousSpec("copula belongs to both the target and the forget set")
         if in_targets or in_forgets:
             scores[i] = 1.0 if in_targets else 0.0
-    todo = [c for c, score in zip(copulas, scores) if np.isnan(score)]
+    todo = np.flatnonzero(np.isnan(scores)).tolist()
     if not todo:
         return scores
 
-    refs = list(spec.forgets) + list(spec.targets)
+    refs = [*spec.forgets, *spec.targets]
     n, k = len(todo), len(refs)
-    selfs = refs + todo if spec.debias else []
-    vals = sinkhorn_values_batch(refs * n + selfs, [c for c in todo for _ in refs] + selfs,
-                                 spec.cost, spec.cfg)
+    # each batch position as (copula index, reference index): every copula
+    # against every reference, then the self-distances debiasing still needs
+    where = [(i, r) for i in todo for r in range(k)]
+    if spec.debias:
+        where += [(None, r) for r in range(k) if ref_self is None]
+        where += [(i, None) for i in todo]
+    rs = [copulas[i] if r is None else refs[r] for i, r in where]
+    cs = [refs[r] if i is None else copulas[i] for i, r in where]
+    try:
+        vals = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+    except ConvergenceFailure as exc:
+        exc.pair = tuple(where[b] for b in exc.pair)
+        raise
     d = vals[:n * k].reshape(n, k)
     if spec.debias:
-        d = np.maximum(d - 0.5 * (vals[n * k:n * k + k] + vals[n * k + k:, None]), 0.0)
+        if ref_self is None:
+            ref_self = vals[n * k:n * k + k]
+        d = np.maximum(d - 0.5 * (ref_self + vals[-n:, None]), 0.0)
     d_forget = d[:, :len(spec.forgets)].min(axis=1)
     d_target = d[:, len(spec.forgets):].min(axis=1)
 
     denom = d_forget + d_target
     if np.any(denom <= 0.0):
         raise AmbiguousSpec("copula is at distance zero from both sets")
-    scores[np.isnan(scores)] = d_forget / denom
+    scores[todo] = d_forget / denom
     return scores
+
+
+def reference_self_distances(spec: TFDCSpec) -> np.ndarray:
+    """d(x, x) of each reference of spec, forgets then targets, in one batch.
+
+    `tfdc(..., ref_self=...)` reads them. A ConvergenceFailure names
+    (None, reference index) pairs in `.pair`, as `tfdc` does.
+    """
+    refs = [*spec.forgets, *spec.targets]
+    try:
+        return sinkhorn_values_batch(refs, refs, spec.cost, spec.cfg)
+    except ConvergenceFailure as exc:
+        exc.pair = tuple((None, r) for r in exc.pair)
+        raise
 
 
 def _finite_pair(x, y):

@@ -29,15 +29,14 @@ class ConvergenceFailure(CoptransError):
     is available. From a batched transport solve, `pair` names the problems
     that failed: `sinkhorn_values_batch` gives their positions in the aligned
     lists, `pairwise_distance_matrix` remaps them to (i, j) histogram
-    index pairs, and `cluster_copulas` to (member, centroid index) pairs,
-    whose members `coptrans cluster` names on stderr. `tfdc` does not remap
-    them: they are positions in its own batch, which holds each copula that
-    no boundary case settled against every reference in turn, then, with
-    debias, the references' and the copulas' self-distances.
-    Problems after the first failing chunk of the batch are not solved, so
-    they are never named. When deficit-closure LPs fail, every LP of their
-    chunk still runs, `pair` names the lowest failing problem only, and the
-    chunk returns no value.
+    index pairs, `cluster_copulas` to (member, centroid index) pairs and
+    `tfdc` to (copula index, reference index) pairs, with None on the
+    missing side of a self-distance. `coptrans dist`, `cluster`, `tfdc` and
+    `query` name the failing copulas' variable pairs on stderr.
+    A batch runs every chunk before it raises, so `pair` names every
+    failing problem, except that when deficit-closure LPs fail, every LP of
+    their chunk still runs but `pair` names that chunk's lowest failing
+    problem only, and the chunk returns no value.
     """
 
     def __init__(self, message, residual=None, value=None, pair=None):

@@ -615,14 +615,17 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
 
     Takes any number of problems and hands them to the engine in chunks of
     _BATCH_CHUNK. Each value is a pure function of its own pair, so neither
-    the chunking nor the batch mates change a bit of it. A ConvergenceFailure
-    lists the positions of the failing problems in `.pair`.
+    the chunking nor the batch mates change a bit of it. Every chunk runs
+    even when one fails; then one ConvergenceFailure lists the positions of
+    all failing problems in `.pair`, and `.value` holds every problem's
+    value, unconverged ones included (NaN for a chunk whose closure LP
+    failed, which gives no value).
     """
     if len(rs) != len(cs) or not rs:
         raise InvalidData("need equally many source and destination histograms")
     for r, c in zip(rs, cs):
         _check_pair(r, c, cost)
-    values = []
+    values, failures = [], []
     for start in range(0, len(rs), _BATCH_CHUNK):
         R = np.stack([h.mass for h in rs[start:start + _BATCH_CHUNK]])
         C = np.stack([h.mass for h in cs[start:start + _BATCH_CHUNK]])
@@ -630,7 +633,17 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
             values.append(_sinkhorn_many(R, C, cost, cfg)[0])
         except ConvergenceFailure as exc:
             exc.pair = tuple(start + b for b in exc.pair)
-            raise
+            failures.append(exc)
+            values.append(np.full(len(R), np.nan) if exc.value is None
+                          else np.atleast_1d(np.asarray(exc.value, dtype=float)))
+    if failures:
+        residuals = [exc.residual for exc in failures if exc.residual is not None]
+        raise ConvergenceFailure(
+            "; ".join(dict.fromkeys(str(exc) for exc in failures)),
+            residual=float(np.max(residuals)) if residuals else None,
+            value=np.concatenate(values),
+            pair=tuple(b for exc in failures for b in exc.pair),
+        )
     return np.concatenate(values)
 
 

@@ -68,7 +68,35 @@ class TestRankTransform:
             assert rank_transform(x).u.tobytes() == expected.tobytes()
 
 
+def add_at_histogram(u, v, m):
+    """Reference binning: np.add.at of 1 per point on the half-open bins
+    (p/m, (p+1)/m], then / T."""
+    def bins(w):
+        return np.clip(np.ceil(w * m - 1e-9).astype(np.int64) - 1, 0, m - 1)
+
+    counts = np.zeros((m, m))
+    np.add.at(counts, (bins(u), bins(v)), 1.0)
+    return counts / u.size
+
+
 class TestEmpiricalCopula:
+    def test_matches_add_at_reference_bitwise(self, rng):
+        # T a multiple of m puts ranks exactly on bin edges; integer columns
+        # tie, and their average ranks fall on half-integers; m=2 and m=T
+        # are the extreme grids
+        cases = []
+        for T, m in ((240, 2), (240, 8), (240, 12), (240, 240), (1001, 12), (2, 2), (7, 7)):
+            cases.append((rng.standard_normal(T), rng.standard_normal(T), m))
+            cases.append((rng.integers(0, 5, size=T).astype(float),
+                          rng.integers(0, 3, size=T).astype(float), m))
+        cases.append((np.array([1.0, 1.0, 2.0, 2.0]), np.array([0.0, -0.0, 5.0, 4.0]), 4))
+        for x, y, m in cases:
+            if x.min() == x.max() or y.min() == y.max():
+                continue
+            u, v = rank_transform(x), rank_transform(y)
+            got = empirical_copula(u, v, m).mass
+            assert got.tobytes() == add_at_histogram(u.u, v.u, m).tobytes()
+
     def test_comonotonic_two_bins(self):
         u = RankColumn(np.array([0.25, 0.5, 0.75, 1.0]))
         c = empirical_copula(u, u, 2)

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_sample_copula
 from coptrans import (
     AmbiguousSpec,
+    ConvergenceFailure,
     DegenerateColumn,
     GroundCost,
     InvalidData,
@@ -20,6 +21,7 @@ from coptrans import (
     spearman_from_copula,
     tfdc,
 )
+from coptrans.dependence import reference_self_distances
 from coptrans.transport import sinkhorn_values_batch
 
 
@@ -135,6 +137,29 @@ class TestTfdc:
             s = [max(d(x, c) - 0.5 * (d(x, x) + d(c, c)), 0.0) for x in refs]
             expected.append(s[0] / (s[0] + min(s[1:])))
         assert np.array_equal(tfdc(copulas, spec), expected)
+
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_failure_names_copula_and_reference(self, rng, debias):
+        # a budget of 5 ends in a warm-up stage, so every solve fails; the
+        # target member at index 1 is settled without a solve
+        spec = standard_spec(m=8, debias=debias, max_iter=5, tol=1e-9)
+        copulas = [random_sample_copula(rng, 8, T=40), spec.targets[0],
+                   random_sample_copula(rng, 8, T=40)]
+        with pytest.raises(ConvergenceFailure) as err:
+            tfdc(copulas, spec)
+        expected = [(i, r) for i in (0, 2) for r in range(3)]
+        if debias:
+            expected += [(None, 0), (None, 1), (None, 2), (0, None), (2, None)]
+        assert err.value.pair == tuple(expected)
+        with pytest.raises(ConvergenceFailure) as err:
+            reference_self_distances(spec)
+        assert err.value.pair == ((None, 0), (None, 1), (None, 2))
+
+    def test_given_reference_self_distances_change_no_bit(self, rng):
+        spec = standard_spec(m=8, debias=True)
+        copulas = [random_sample_copula(rng, 8, T=40) for _ in range(5)]
+        ref_self = reference_self_distances(spec)
+        assert np.array_equal(tfdc(copulas, spec, ref_self=ref_self), tfdc(copulas, spec))
 
     def test_spec_validation(self):
         up = reference_copula("frechet_upper", 8)

@@ -461,6 +461,43 @@ class TestCli:
         assert "failing pairs (3): x|y, x|z, y|z" in err
         assert "convergence failure" in err
 
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_tfdc_failure_names_the_failing_pairs(self, dataset, tmp_path, capsys, debias):
+        # 240 rows at m=8: each column's copula with itself is the target up
+        # bit for bit, so only the three off-diagonal copulas are solved
+        refs = tmp_path / "refs"
+        refs.mkdir()
+        write_cop(reference_copula("frechet_upper", 8), refs / "up.cop")
+        write_cop(reference_copula("independence", 8), refs / "pi.cop")
+        code = main(["tfdc", "--input", str(dataset), "--m", "8",
+                     "--targets", str(refs / "up.cop"), "--forgets", str(refs / "pi.cop"),
+                     "--max-iter", "5", "--tol", "1e-9", "--out", str(tmp_path / "t")]
+                    + ["--debias"] * debias)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failing pairs (3): x|y, x|z, y|z" in err
+        assert "convergence failure" in err
+
+    def test_dist_failure_names_the_failing_pairs(self, dataset, tmp_path, capsys):
+        code = main(["dist", "--input", str(dataset), "--m", "6",
+                     "--max-iter", "5", "--tol", "1e-9", "--out", str(tmp_path / "d")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failing pairs (3): x|y, x|z, y|z" in err
+        assert "convergence failure" in err
+
+    def test_query_failure_names_only_the_failing_pairs(self, dataset, tmp_path, capsys):
+        # at this budget only x|y, the pair nearest the comonotone target,
+        # stays above tol
+        write_cop(reference_copula("frechet_upper", 6), tmp_path / "up.cop")
+        code = main(["query", "--input", str(dataset), "--m", "6",
+                     "--target", str(tmp_path / "up.cop"),
+                     "--max-iter", "150", "--tol", "1e-8", "--out", str(tmp_path / "q")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failing pairs (1): x|y\n" in err
+        assert "convergence failure" in err
+
     def test_commands_do_not_import_scipy_stats(self, dataset, tmp_path):
         # A fresh interpreter, since this one may have loaded scipy.stats already.
         script = f"""

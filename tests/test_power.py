@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from coptrans import (
+    CopulaHistogram,
     DegenerateColumn,
     InvalidParameter,
+    dependence,
+    empirical_copula_from_data,
     estimate_power,
     make_tfdc_coefficient,
+    power,
+    tfdc,
     tfdc_power_targets,
 )
 from coptrans.power import COEFFICIENTS, power_target_copulas
@@ -96,6 +101,28 @@ class TestTfdcPowerTargets:
                 assert t.mass.min() >= 0.0
                 assert not any(t.same_bits(u) for u in spec.targets[:i])
 
+    def test_targets_match_a_rankdata_and_add_at_rebuild(self, monkeypatch):
+        # every copula rebuilt with scipy's average ranks and np.add.at; the
+        # step pattern's y ties in two large runs
+        from scipy.stats import rankdata
+
+        def rebuilt(x, y, m):
+            counts = np.zeros((m, m))
+            bins = [np.clip(np.ceil(rankdata(w) / w.size * m - 1e-9).astype(np.int64) - 1,
+                            0, m - 1) for w in (x, y)]
+            np.add.at(counts, tuple(bins), 1.0)
+            return CopulaHistogram(counts / x.size)
+
+        settings = [(m, t_ref, seed) for m in (5, 8, 12, 20) for t_ref in (3000, 2999)
+                    for seed in (0, 1)]
+        built = [tfdc_power_targets(m=m, T_ref=t_ref, seed=seed) for m, t_ref, seed in settings]
+        monkeypatch.setattr(power, "empirical_copula_from_data", rebuilt)
+        for (m, t_ref, seed), spec in zip(settings, built):
+            again = tfdc_power_targets(m=m, T_ref=t_ref, seed=seed)
+            assert len(again.targets) == len(spec.targets)
+            assert all(a.mass.tobytes() == b.mass.tobytes()
+                       for a, b in zip(again.targets, spec.targets))
+
     def test_targets_stable_across_seeds(self):
         # Two independent large reference draws agree in total variation.
         # The diffuse high-frequency patterns sit near 0.04 at this T_ref
@@ -124,3 +151,26 @@ class TestTfdcPowerTargets:
         x = rng.uniform(size=200)
         assert coeff(x, x) == 1.0  # clean linear copula is bit-equal to its target
         assert coeff.__name__ == "tfdc"
+
+    def test_debiased_coefficient_solves_reference_self_distances_once(self, monkeypatch):
+        # K references: K self-distances when the coefficient is made, then
+        # K + 1 problems per evaluation (the copula against each reference
+        # and against itself), not 2K + 1
+        spec = tfdc_power_targets(m=12, T_ref=4000, seed=0, debias=True)
+        k = len(spec.forgets) + len(spec.targets)
+        solve = dependence.sinkhorn_values_batch
+        problems = []
+
+        def counting(rs, cs, cost, cfg):
+            problems.append(len(rs))
+            return solve(rs, cs, cost, cfg)
+
+        monkeypatch.setattr(dependence, "sinkhorn_values_batch", counting)
+        coeff = make_tfdc_coefficient(spec)
+        rng = np.random.default_rng(8)
+        samples = [(x, x**2 + rng.standard_normal(200)) for x in rng.uniform(size=(3, 200))]
+        scores = [coeff(x, y) for x, y in samples]
+        assert k == 7 and problems == [k] + [k + 1] * 3
+        monkeypatch.undo()
+        assert scores == [tfdc([empirical_copula_from_data(x, y, 12)], spec)[0]
+                          for x, y in samples]

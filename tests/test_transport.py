@@ -385,6 +385,30 @@ class TestBatchedValues:
             assert np.array_equal(batched, swapped)
             assert np.array_equal(batched, single)
 
+    def test_failure_names_failing_problems_of_every_chunk(self, rng):
+        # 70 problems are two chunks. A point mass against itself converges
+        # within this budget and a random pair does not, so both chunks fail.
+        m = 6
+        cost = GroundCost(m)
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=40, tol=1e-8)
+        a = point_mass(m, 2, 3)
+        rs, cs = [a] * 70, [a] * 70
+        for b in (5, 66):
+            rs[b], cs[b] = random_histogram(rng, m), random_histogram(rng, m)
+        with pytest.raises(ConvergenceFailure) as err:
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert err.value.pair == (5, 66)
+        value = err.value.value
+        assert value.shape == (70,) and np.all(np.isfinite(value))
+        converged = [b for b in range(70) if b not in (5, 66)]
+        assert np.array_equal(value[converged], sinkhorn_values_batch(
+            [rs[b] for b in converged], [cs[b] for b in converged], cost, cfg))
+        for b in (5, 66):
+            with pytest.raises(ConvergenceFailure) as alone:
+                sinkhorn_values_batch([rs[b]], [cs[b]], cost, cfg)
+            assert alone.value.value[0] == value[b]
+            assert alone.value.residual <= err.value.residual
+
     def test_slow_batch_mate_leaves_last_stage_budget_alone(self):
         # Alone, p runs 50 warm-up iterations and then 140 of the 150 left to
         # it, and q runs 70 warm-up iterations. Charging q's warm-up to p's
