@@ -143,10 +143,7 @@ def rank_transform(column) -> RankColumn:
     last 1-based positions, an exact half-integer, so dividing by T is the
     only rounding. A run's positions depend only on the sorted values, not
     on how the sort ordered equal ones, so any correct sort gives the same
-    ranks, and numpy's default unstable one is the fastest. When no two
-    sorted neighbours are equal, every run is one position g, whose mean
-    rank 0.5 * (g + (g + 1) + 1) is exactly g + 1, so the ranks are the
-    positions + 1 directly, with the same bits.
+    ranks, and numpy's default unstable one is the fastest.
     """
     arr = _as_finite_vector(column, "column")
     if arr.min() == arr.max():
@@ -154,12 +151,9 @@ def rank_transform(column) -> RankColumn:
     order = np.argsort(arr)
     s = arr[order]
     starts = np.concatenate(([True], s[1:] != s[:-1]))
+    bounds = np.append(np.flatnonzero(starts), arr.size)  # run g: [bounds[g], bounds[g + 1])
     ranks = np.empty(arr.size)
-    if starts.all():
-        ranks[order] = np.arange(1.0, arr.size + 1)
-    else:
-        bounds = np.append(np.flatnonzero(starts), arr.size)  # run g: [bounds[g], bounds[g + 1])
-        ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(starts) - 1]
+    ranks[order] = (0.5 * (bounds[1:] + bounds[:-1] + 1))[np.cumsum(starts) - 1]
     return RankColumn(ranks / arr.size)
 
 

@@ -9,7 +9,7 @@ benchmark and for sanity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
@@ -23,7 +23,6 @@ __all__ = [
     "distance_correlation",
     "pearson",
     "rdc",
-    "reference_self_distances",
     "spearman",
     "tfdc",
 ]
@@ -31,13 +30,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TFDCSpec:
-    """Targets, forgets and the distance configuration for the coefficient."""
+    """Targets, forgets and the distance configuration for the coefficient.
+
+    With debias, the first `tfdc` call that solves its batch keeps the
+    references' self-distances, forgets then targets, in `ref_self`; they
+    depend only on the spec, so later calls do not solve them again.
+    """
 
     targets: tuple[CopulaHistogram, ...]
     forgets: tuple[CopulaHistogram, ...]
     cost: GroundCost
     cfg: SinkhornConfig
     debias: bool = False
+    ref_self: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         targets = tuple(self.targets)
@@ -54,7 +59,7 @@ class TFDCSpec:
         object.__setattr__(self, "forgets", forgets)
 
 
-def tfdc(copulas, spec: TFDCSpec, *, ref_self=None) -> np.ndarray:
+def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
     """Target/forget dependence coefficient in [0, 1] of each copula in a list.
 
     min_l d(F_l, c) / (min_l d(F_l, c) + min_k d(c, T_k)); exactly 0 when c
@@ -64,9 +69,9 @@ def tfdc(copulas, spec: TFDCSpec, *, ref_self=None) -> np.ndarray:
     self-distance bias. The other copulas x references are solved as one
     `sinkhorn_values_batch` call, whose values never depend on batch mates.
     With spec.debias each distance is d(x, c) - (d(x, x) + d(c, c)) / 2,
-    clipped at 0, and each self-distance is solved once per call. `ref_self`
-    takes the references' self-distances from `reference_self_distances`,
-    so that many calls on one spec solve them once; it changes no bit.
+    clipped at 0. Each copula's self-distance is solved once per call and
+    each reference's once per spec (see TFDCSpec); values are pure
+    functions of their pair, so where they were solved changes no bit.
 
     A ConvergenceFailure names (copula index, reference index) pairs in
     `.pair`, references counted over the forgets, then the targets; a
@@ -91,7 +96,7 @@ def tfdc(copulas, spec: TFDCSpec, *, ref_self=None) -> np.ndarray:
     # against every reference, then the self-distances debiasing still needs
     where = [(i, r) for i in todo for r in range(k)]
     if spec.debias:
-        where += [(None, r) for r in range(k) if ref_self is None]
+        where += [(None, r) for r in range(k) if spec.ref_self is None]
         where += [(i, None) for i in todo]
     rs = [copulas[i] if r is None else refs[r] for i, r in where]
     cs = [refs[r] if i is None else copulas[i] for i, r in where]
@@ -102,9 +107,11 @@ def tfdc(copulas, spec: TFDCSpec, *, ref_self=None) -> np.ndarray:
         raise
     d = vals[:n * k].reshape(n, k)
     if spec.debias:
-        if ref_self is None:
-            ref_self = vals[n * k:n * k + k]
-        d = np.maximum(d - 0.5 * (ref_self + vals[-n:, None]), 0.0)
+        if spec.ref_self is None:
+            ref_self = vals[n * k:n * k + k].copy()
+            ref_self.setflags(write=False)
+            object.__setattr__(spec, "ref_self", ref_self)
+        d = np.maximum(d - 0.5 * (spec.ref_self + vals[-n:, None]), 0.0)
     d_forget = d[:, :len(spec.forgets)].min(axis=1)
     d_target = d[:, len(spec.forgets):].min(axis=1)
 
@@ -113,20 +120,6 @@ def tfdc(copulas, spec: TFDCSpec, *, ref_self=None) -> np.ndarray:
         raise AmbiguousSpec("copula is at distance zero from both sets")
     scores[todo] = d_forget / denom
     return scores
-
-
-def reference_self_distances(spec: TFDCSpec) -> np.ndarray:
-    """d(x, x) of each reference of spec, forgets then targets, in one batch.
-
-    `tfdc(..., ref_self=...)` reads them. A ConvergenceFailure names
-    (None, reference index) pairs in `.pair`, as `tfdc` does.
-    """
-    refs = [*spec.forgets, *spec.targets]
-    try:
-        return sinkhorn_values_batch(refs, refs, spec.cost, spec.cfg)
-    except ConvergenceFailure as exc:
-        exc.pair = tuple((None, r) for r in exc.pair)
-        raise
 
 
 def _finite_pair(x, y):

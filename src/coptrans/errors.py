@@ -26,7 +26,8 @@ class ConvergenceFailure(CoptransError):
     cap, or its residual was NaN.
 
     Carries the last marginal residual and the last objective value where one
-    is available. From a batched transport solve, `pair` names the problems
+    is available; that value is not a distance, and a transport problem whose
+    budget ran out before its last anneal stage has NaN there. From a batched transport solve, `pair` names the problems
     that failed: `sinkhorn_values_batch` gives their positions in the aligned
     lists, `pairwise_distance_matrix` remaps them to (i, j) histogram
     index pairs, `cluster_copulas` to (member, centroid index) pairs and

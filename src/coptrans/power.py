@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .copula import CopulaHistogram, empirical_copula_from_data, reference_copula
-from .dependence import (TFDCSpec, distance_correlation, pearson, rdc,
-                         reference_self_distances, spearman, tfdc)
+from .dependence import TFDCSpec, distance_correlation, pearson, rdc, spearman, tfdc
 from .errors import CoptransError, InvalidParameter
 from .synth import POWER_PATTERNS, gen_power_pattern, pattern_extrema
 from .transport import GroundCost, SinkhornConfig, default_lambda
@@ -114,17 +113,11 @@ def tfdc_power_targets(m: int = 20, T_ref: int = 100_000, seed: int = 0,
 
 
 def make_tfdc_coefficient(spec: TFDCSpec) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Wrap a TFDCSpec as an (x, y) -> value coefficient for the harness.
-
-    With spec.debias the references' self-distances are solved here, once,
-    so that each evaluation solves only its copula's distances and its own
-    self-distance; the values keep every bit of `tfdc([copula], spec)`.
-    """
+    """Wrap a TFDCSpec as an (x, y) -> value coefficient for the harness."""
     m = spec.cost.m
-    ref_self = reference_self_distances(spec) if spec.debias else None
 
     def coefficient(x, y):
-        return float(tfdc([empirical_copula_from_data(x, y, m)], spec, ref_self=ref_self)[0])
+        return float(tfdc([empirical_copula_from_data(x, y, m)], spec)[0])
 
     coefficient.__name__ = "tfdc"
     return coefficient

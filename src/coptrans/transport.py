@@ -564,6 +564,8 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     failed = ~(residuals < cfg.tol) & ~stalled
     if np.any(failed):
         values = _plan_value_log(cost.axis_cost, k, lu, lv)
+        # a budget spent before the last stage left no potentials at cfg.lam
+        values[budget <= 0] = np.nan
         worst = float(residuals[failed].max())
         raise ConvergenceFailure(
             f"sinkhorn residual {worst:.3e} >= tol {cfg.tol:.1e} after "
@@ -617,9 +619,11 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
     _BATCH_CHUNK. Each value is a pure function of its own pair, so neither
     the chunking nor the batch mates change a bit of it. Every chunk runs
     even when one fails; then one ConvergenceFailure lists the positions of
-    all failing problems in `.pair`, and `.value` holds every problem's
-    value, unconverged ones included (NaN for a chunk whose closure LP
-    failed, which gives no value).
+    all failing problems in `.pair`, and `.value` holds a value for every
+    problem. Only converged ones are distances: an unconverged problem's
+    entry is the cost of its last unrounded plan, and it is NaN for a
+    problem whose budget ran out before the last anneal stage and for every
+    problem of a chunk whose closure LP failed.
     """
     if len(rs) != len(cs) or not rs:
         raise InvalidData("need equally many source and destination histograms")

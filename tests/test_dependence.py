@@ -21,7 +21,7 @@ from coptrans import (
     spearman_from_copula,
     tfdc,
 )
-from coptrans.dependence import reference_self_distances
+from coptrans import dependence
 from coptrans.transport import sinkhorn_values_batch
 
 
@@ -151,15 +151,30 @@ class TestTfdc:
         if debias:
             expected += [(None, 0), (None, 1), (None, 2), (0, None), (2, None)]
         assert err.value.pair == tuple(expected)
-        with pytest.raises(ConvergenceFailure) as err:
-            reference_self_distances(spec)
-        assert err.value.pair == ((None, 0), (None, 1), (None, 2))
+        assert spec.ref_self is None  # a failed batch keeps nothing
 
-    def test_given_reference_self_distances_change_no_bit(self, rng):
+    def test_spec_keeps_reference_self_distances(self, rng, monkeypatch):
+        # the first debiased call solves the 3 references' self-distances
+        # with its batch and keeps them; later calls on the spec do not
         spec = standard_spec(m=8, debias=True)
+        refs = [*spec.forgets, *spec.targets]
         copulas = [random_sample_copula(rng, 8, T=40) for _ in range(5)]
-        ref_self = reference_self_distances(spec)
-        assert np.array_equal(tfdc(copulas, spec, ref_self=ref_self), tfdc(copulas, spec))
+        solve = dependence.sinkhorn_values_batch
+        problems = []
+
+        def counting(rs, cs, cost, cfg):
+            problems.append(len(rs))
+            return solve(rs, cs, cost, cfg)
+
+        monkeypatch.setattr(dependence, "sinkhorn_values_batch", counting)
+        first = tfdc(copulas, spec)
+        kept = spec.ref_self
+        second = tfdc(copulas[:2], spec)
+        assert problems == [5 * 3 + 3 + 5, 2 * 3 + 2]
+        assert spec.ref_self is kept and not kept.flags.writeable
+        assert np.array_equal(kept, solve(refs, refs, spec.cost, spec.cfg))
+        assert np.array_equal(second, first[:2])
+        assert np.array_equal(first, tfdc(copulas, standard_spec(m=8, debias=True)))
 
     def test_spec_validation(self):
         up = reference_copula("frechet_upper", 8)

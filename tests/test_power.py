@@ -153,9 +153,9 @@ class TestTfdcPowerTargets:
         assert coeff.__name__ == "tfdc"
 
     def test_debiased_coefficient_solves_reference_self_distances_once(self, monkeypatch):
-        # K references: K self-distances when the coefficient is made, then
-        # K + 1 problems per evaluation (the copula against each reference
-        # and against itself), not 2K + 1
+        # K references: the first evaluation solves 2K + 1 problems (the
+        # copula against each reference, the references' self-distances,
+        # which the spec keeps, and the copula's own), later ones K + 1
         spec = tfdc_power_targets(m=12, T_ref=4000, seed=0, debias=True)
         k = len(spec.forgets) + len(spec.targets)
         solve = dependence.sinkhorn_values_batch
@@ -170,7 +170,8 @@ class TestTfdcPowerTargets:
         rng = np.random.default_rng(8)
         samples = [(x, x**2 + rng.standard_normal(200)) for x in rng.uniform(size=(3, 200))]
         scores = [coeff(x, y) for x, y in samples]
-        assert k == 7 and problems == [k] + [k + 1] * 3
+        assert k == 7 and problems == [2 * k + 1] + [k + 1] * 2
         monkeypatch.undo()
-        assert scores == [tfdc([empirical_copula_from_data(x, y, 12)], spec)[0]
+        fresh = tfdc_power_targets(m=12, T_ref=4000, seed=0, debias=True)
+        assert scores == [tfdc([empirical_copula_from_data(x, y, 12)], fresh)[0]
                           for x, y in samples]

@@ -387,10 +387,11 @@ class TestBatchedValues:
 
     def test_failure_names_failing_problems_of_every_chunk(self, rng):
         # 70 problems are two chunks. A point mass against itself converges
-        # within this budget and a random pair does not, so both chunks fail.
+        # within this budget, and a random pair reaches the last anneal stage
+        # but does not converge there, so both chunks fail.
         m = 6
         cost = GroundCost(m)
-        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=40, tol=1e-8)
+        cfg = SinkhornConfig(lam=default_lambda(m), max_iter=100, tol=1e-8)
         a = point_mass(m, 2, 3)
         rs, cs = [a] * 70, [a] * 70
         for b in (5, 66):
@@ -434,6 +435,21 @@ class TestBatchedValues:
         with pytest.raises(ConvergenceFailure, match=f"after {max_iter} iterations") as err:
             sinkhorn_distance(p[0], p[1], GroundCost(8), cfg)
         assert err.value.residual == np.inf
+
+    def test_budget_spent_before_the_last_stage_gives_no_value(self):
+        # p, as above, never runs at cfg.lam, so its entry is NaN and not the
+        # near-zero cost of warm-up potentials under the last kernel; a
+        # point mass against itself converges beside it and keeps its value
+        rng = np.random.default_rng(10)
+        p = [random_histogram(rng, 8, 2.0) for _ in range(2)]
+        a = point_mass(8, 2, 3)
+        cost = GroundCost(8)
+        cfg = SinkhornConfig(lam=default_lambda(8), tol=1e-6, max_iter=45)
+        with pytest.raises(ConvergenceFailure) as err:
+            sinkhorn_values_batch([p[0], a], [p[1], a], cost, cfg)
+        assert err.value.pair == (0,) and err.value.residual == np.inf
+        assert np.isnan(err.value.value[0])
+        assert err.value.value[1] == sinkhorn_values_batch([a], [a], cost, cfg)[0]
 
     def test_scaling_loop_checks_each_problem_at_its_own_cap(self, rng):
         # a cap off the every-10 schedule is checked for its own problem only
