@@ -16,7 +16,12 @@ from scipy import linalg
 
 from .copula import CopulaHistogram, rank_transform
 from .errors import AmbiguousSpec, ConvergenceFailure, DegenerateColumn, InvalidData
-from .transport import GroundCost, SinkhornConfig, sinkhorn_values_batch
+from .transport import (
+    GroundCost,
+    SinkhornConfig,
+    sinkhorn_values_batch,
+    sinkhorn_values_screened,
+)
 
 __all__ = [
     "TFDCSpec",
@@ -67,11 +72,17 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
     These boundary cases, and AmbiguousSpec, are settled for every copula
     before any transport solve, so the identities hold despite the entropic
     self-distance bias. The other copulas x references are solved as one
-    `sinkhorn_values_batch` call, whose values never depend on batch mates.
+    `sinkhorn_values_screened` call, whose values never depend on batch
+    mates. The score reads only two minima per copula, so each copula's
+    forget distances form one group and its target distances another: a
+    distance that cannot be its group's minimum gets no rounding-deficit
+    closure, and each minimum keeps the bits of a fully closed batch.
     With spec.debias each distance is d(x, c) - (d(x, x) + d(c, c)) / 2,
-    clipped at 0. Each copula's self-distance is solved once per call and
-    each reference's once per spec (see TFDCSpec); values are pure
-    functions of their pair, so where they were solved changes no bit.
+    clipped at 0. Those minima are over shifted values, so every problem
+    is its own group and every deficit is closed. Each copula's
+    self-distance is solved once per call and each reference's once per
+    spec (see TFDCSpec); values are pure functions of their pair, so where
+    they were solved changes no bit.
 
     A ConvergenceFailure names (copula index, reference index) pairs in
     `.pair`, references counted over the forgets, then the targets; a
@@ -100,8 +111,12 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
         where += [(i, None) for i in todo]
     rs = [copulas[i] if r is None else refs[r] for i, r in where]
     cs = [refs[r] if i is None else copulas[i] for i, r in where]
+    if spec.debias:
+        groups = np.arange(len(where))
+    else:  # (copula, forget side) and (copula, target side)
+        groups = [2 * i + (r >= len(spec.forgets)) for i, r in where]
     try:
-        vals = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        vals = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
     except ConvergenceFailure as exc:
         exc.pair = tuple(where[b] for b in exc.pair)
         raise

@@ -34,10 +34,9 @@ class ConvergenceFailure(CoptransError):
     `tfdc` to (copula index, reference index) pairs, with None on the
     missing side of a self-distance. `coptrans dist`, `cluster`, `tfdc` and
     `query` name the failing copulas' variable pairs on stderr.
-    A batch runs every chunk before it raises, so `pair` names every
-    failing problem, except that when deficit-closure LPs fail, every LP of
-    their chunk still runs but `pair` names that chunk's lowest failing
-    problem only, and the chunk returns no value.
+    A batch runs every chunk, and every deficit-closure LP of a chunk,
+    before it raises, so `pair` names every failing problem, and the value
+    of a problem whose closure LP failed is NaN.
     """
 
     def __init__(self, message, residual=None, value=None, pair=None):

@@ -21,6 +21,11 @@ closure LPs run side by side on up to one thread per usable CPU, the
 calling thread included (see `_close_deficits`): HiGHS releases the GIL
 while it solves, and each LP is a pure function of its own deficit on its
 own HiGHS instance, so the thread count and the schedule change no bit.
+Closure only adds a nonnegative cost to a problem's rounded plan cost, so
+that pre-closure cost is a lower bound on its value. A caller that needs
+only the minimum of each group of problems (`sinkhorn_values_screened`)
+has a deficit closed only where its problem can still be its group's
+minimum, and every minimum keeps its bits (see `_sinkhorn_many`).
 """
 
 from __future__ import annotations
@@ -351,8 +356,8 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
     back; a deque's pops are thread-safe, so each LP is taken once. A caller
     that only waited saved less on the LPs than it lost in the numpy work
     after each wait. One CPU, or fewer than two LPs, starts no thread. Every
-    LP runs even when one fails; results are then read in problem order, so
-    a ConvergenceFailure names the lowest failing problem in `.pair`.
+    LP runs even when one fails; a failed LP's entry is its
+    ConvergenceFailure, which the caller raises (see `_sinkhorn_many`).
     """
     results = []
     todo = deque()
@@ -394,10 +399,6 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
         work(todo.pop)
         for task in tasks:
             task.result()
-    for b, result in enumerate(results):
-        if isinstance(result, ConvergenceFailure):
-            result.pair = (b,)
-            raise result
     return results
 
 
@@ -516,7 +517,8 @@ def _lex_swap_mask(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return r[rows, first] > c[rows, first]
 
 
-def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: SinkhornConfig):
+def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: SinkhornConfig,
+                   group=None):
     """Batched scaling iterations with sharpness annealing.
 
     R, C have shape (B, m, m); returns (values, log_u, log_v, err_r, err_c,
@@ -528,11 +530,26 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     iterations over all stages (see SinkhornConfig), so batching never
     changes results, failures included. The final plan is rounded onto the
     polytope, making the returned values costs of exactly feasible plans.
-    Its deficits are closed by `_close_deficits`, whose LPs run on several
-    threads; each is a pure function of its own problem's deficit, so the
-    thread count moves no bit either, and a failed closure names the lowest
-    failing problem. A problem fails when its residual is not below
-    cfg.tol, NaN included, unless it stalled.
+    A problem fails when its residual is not below cfg.tol, NaN included,
+    unless it stalled.
+
+    The rounded plan's deficits are closed by `_close_deficits`, whose LPs
+    run on several threads; each is a pure function of its own problem's
+    deficit, so the thread count moves no bit either. `group` holds a
+    group id per problem (default: each problem its own group), and a
+    deficit is closed only where its problem can still be its group's
+    minimum, in two waves. The first closes each group's problem of lowest
+    pre-closure cost pv, ties to the lowest position; the second closes
+    every other problem whose pv is not above its group's first-wave value.
+    The rest get value +inf, correction None and no closure. Why the
+    minimum keeps its bits: a closure cost e is >= 0 (LP, rank-one or the
+    noise-level 0), so a closed value fl(pv + e) is at least pv, and a
+    problem is skipped only when pv exceeds a closed value of its group, so
+    its own value would have been strictly above the minimum. Every closure
+    of both waves runs even when one fails; then one ConvergenceFailure
+    names every problem whose closure failed in `.pair`, in problem order,
+    and `.value` is NaN at those problems only. A group whose first-wave
+    closure failed has no known minimum, so none of its problems is skipped.
     """
     swap = _lex_swap_mask(R, C)[:, None, None]
     R, C = np.where(swap, C, R), np.where(swap, R, C)
@@ -575,10 +592,37 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
             pair=tuple(int(b) for b in np.flatnonzero(failed)),
         )
     lu, lv, err_r, err_c = _round_to_polytope(k, lr, lc, R, C, lu, lv)
-    values = _plan_value_log(cost.axis_cost, k, lu, lv)
+    values = _plan_value_log(cost.axis_cost, k, lu, lv)  # pre-closure costs
+    closures = [None] * len(R)
+
+    def close(wave):
+        for b, closure in zip(wave, _close_deficits(err_r[wave], err_c[wave], cost.m)):
+            closures[b] = closure
+            if isinstance(closure, ConvergenceFailure):
+                values[b] = np.nan
+            else:
+                values[b] += closure[0]
+
+    _, g = np.unique(np.arange(len(R)) if group is None else group, return_inverse=True)
+    order = np.lexsort((values, g))  # stable: ties stay in problem order
+    lead = order[np.diff(g[order], prepend=-1) != 0]  # lead[j] opens group j
+    close(lead)
+    # a NaN, from a failed first-wave closure, compares False: that group skips nothing
+    skip = values > values[lead][g]
+    rest = ~skip
+    rest[lead] = False
+    close(np.flatnonzero(rest))
+    values[skip] = np.inf
+    failed = [b for b, closure in enumerate(closures) if isinstance(closure, ConvergenceFailure)]
+    if failed:
+        raise ConvergenceFailure(
+            "; ".join(dict.fromkeys(str(closures[b]) for b in failed)),
+            value=float(values[0]) if len(values) == 1 else values.tolist(),
+            pair=tuple(failed),
+        )
     corrections = []
-    for b, (extra, corr) in enumerate(_close_deficits(err_r, err_c, cost.m)):
-        values[b] += extra
+    for b, closure in enumerate(closures):
+        corr = None if closure is None else closure[1]
         if swap[b, 0, 0] and corr is not None:
             corr = (corr[1], corr[0], corr[2].T)
         corrections.append(corr)
@@ -622,24 +666,44 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
     all failing problems in `.pair`, and `.value` holds a value for every
     problem. Only converged ones are distances: an unconverged problem's
     entry is the cost of its last unrounded plan, and it is NaN for a
-    problem whose budget ran out before the last anneal stage and for every
-    problem of a chunk whose closure LP failed.
+    problem whose budget ran out before the last anneal stage and for a
+    problem whose closure LP failed.
     """
+    return sinkhorn_values_screened(rs, cs, cost, cfg, groups=np.arange(len(rs)))
+
+
+def sinkhorn_values_screened(rs, cs, cost: GroundCost, cfg: SinkhornConfig, *,
+                             groups) -> np.ndarray:
+    """`sinkhorn_values_batch`'s values where they can be their group's minimum.
+
+    groups[i] is problem i's group id. Every problem is solved, but a
+    rounding deficit is closed only where its problem can still be its
+    group's minimum (see `_sinkhorn_many`); the others get +inf. So each
+    group's minimum, and every value equal to it, keeps
+    `sinkhorn_values_batch`'s bits. A group may straddle chunks: the minimum
+    of each part is exact, so the group's is too. Failures are reported as
+    by `sinkhorn_values_batch`, with +inf at skipped problems. With every
+    problem its own group, no deficit is skipped: that is
+    `sinkhorn_values_batch`.
+    """
+    groups = np.asarray(groups)
+    if groups.shape != (len(rs),):
+        raise InvalidData(f"need one group id per problem, got {groups.shape} for {len(rs)}")
     if len(rs) != len(cs) or not rs:
         raise InvalidData("need equally many source and destination histograms")
     for r, c in zip(rs, cs):
         _check_pair(r, c, cost)
     values, failures = [], []
     for start in range(0, len(rs), _BATCH_CHUNK):
-        R = np.stack([h.mass for h in rs[start:start + _BATCH_CHUNK]])
-        C = np.stack([h.mass for h in cs[start:start + _BATCH_CHUNK]])
+        chunk = slice(start, start + _BATCH_CHUNK)
+        R = np.stack([h.mass for h in rs[chunk]])
+        C = np.stack([h.mass for h in cs[chunk]])
         try:
-            values.append(_sinkhorn_many(R, C, cost, cfg)[0])
+            values.append(_sinkhorn_many(R, C, cost, cfg, groups[chunk])[0])
         except ConvergenceFailure as exc:
             exc.pair = tuple(start + b for b in exc.pair)
             failures.append(exc)
-            values.append(np.full(len(R), np.nan) if exc.value is None
-                          else np.atleast_1d(np.asarray(exc.value, dtype=float)))
+            values.append(np.atleast_1d(np.asarray(exc.value, dtype=float)))
     if failures:
         residuals = [exc.residual for exc in failures if exc.residual is not None]
         raise ConvergenceFailure(

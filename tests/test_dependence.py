@@ -5,6 +5,7 @@ from conftest import random_sample_copula
 from coptrans import (
     AmbiguousSpec,
     ConvergenceFailure,
+    CopulaHistogram,
     DegenerateColumn,
     GroundCost,
     InvalidData,
@@ -21,8 +22,10 @@ from coptrans import (
     spearman_from_copula,
     tfdc,
 )
-from coptrans import dependence
-from coptrans.transport import sinkhorn_values_batch
+from coptrans import dependence, transport
+from coptrans.power import tfdc_power_targets
+from coptrans.synth import gen_power_pattern
+from coptrans.transport import sinkhorn_values_batch, sinkhorn_values_screened
 
 
 def standard_spec(m=20, debias=False, **cfg_kw):
@@ -159,20 +162,20 @@ class TestTfdc:
         spec = standard_spec(m=8, debias=True)
         refs = [*spec.forgets, *spec.targets]
         copulas = [random_sample_copula(rng, 8, T=40) for _ in range(5)]
-        solve = dependence.sinkhorn_values_batch
+        solve = dependence.sinkhorn_values_screened
         problems = []
 
-        def counting(rs, cs, cost, cfg):
+        def counting(rs, cs, cost, cfg, *, groups):
             problems.append(len(rs))
-            return solve(rs, cs, cost, cfg)
+            return solve(rs, cs, cost, cfg, groups=groups)
 
-        monkeypatch.setattr(dependence, "sinkhorn_values_batch", counting)
+        monkeypatch.setattr(dependence, "sinkhorn_values_screened", counting)
         first = tfdc(copulas, spec)
         kept = spec.ref_self
         second = tfdc(copulas[:2], spec)
         assert problems == [5 * 3 + 3 + 5, 2 * 3 + 2]
         assert spec.ref_self is kept and not kept.flags.writeable
-        assert np.array_equal(kept, solve(refs, refs, spec.cost, spec.cfg))
+        assert np.array_equal(kept, sinkhorn_values_batch(refs, refs, spec.cost, spec.cfg))
         assert np.array_equal(second, first[:2])
         assert np.array_equal(first, tfdc(copulas, standard_spec(m=8, debias=True)))
 
@@ -184,6 +187,160 @@ class TestTfdc:
         with pytest.raises(InvalidData):
             TFDCSpec(targets=(up,), forgets=(up,), cost=GroundCost(10),
                      cfg=SinkhornConfig(lam=1.0))
+
+
+def power_copulas(n, m=12, seed=3):
+    """n power-study copulas at n=200: noisy patterns, every other one permuted."""
+    rng = np.random.default_rng(seed)
+    copulas = []
+    for i in range(n):
+        pattern = ("circle", "sin4pi", "quadratic", "linear")[i % 4]
+        x, y = gen_power_pattern(pattern, 0.5, 200, int(rng.integers(2**31)))
+        copulas.append(empirical_copula_from_data(x, rng.permutation(y) if i % 2 else y, m))
+    return copulas
+
+
+def problems(copulas, spec):
+    """tfdc's copula-reference problems, with its non-debiased groups."""
+    refs = [*spec.forgets, *spec.targets]
+    where = [(i, r) for i in range(len(copulas)) for r in range(len(refs))]
+    groups = [2 * i + (r >= len(spec.forgets)) for i, r in where]
+    return [refs[r] for _, r in where], [copulas[i] for i, _ in where], groups
+
+
+def fully_closed_tfdc(copulas, spec):
+    """TFDC from `sinkhorn_values_batch`, which closes every deficit."""
+    rs, cs, _ = problems(copulas, spec)
+    k = len(spec.forgets) + len(spec.targets)
+    d = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg).reshape(len(copulas), k)
+    if spec.debias:
+        refs = [*spec.forgets, *spec.targets]
+        ref_self = sinkhorn_values_batch(refs, refs, spec.cost, spec.cfg)
+        own = sinkhorn_values_batch(copulas, copulas, spec.cost, spec.cfg)
+        d = np.maximum(d - 0.5 * (ref_self + own[:, None]), 0.0)
+    d_forget = d[:, :len(spec.forgets)].min(axis=1)
+    d_target = d[:, len(spec.forgets):].min(axis=1)
+    return d_forget / (d_forget + d_target)
+
+
+class TestTfdcScreen:
+    """tfdc closes a deficit only where its distance can be a minimum."""
+
+    @pytest.mark.parametrize("debias", [False, True])
+    def test_scores_match_fully_closed_distances(self, debias):
+        # 10 copulas x 7 references: 70 problems in two engine chunks
+        spec = tfdc_power_targets(m=12, T_ref=4000, seed=0, debias=debias)
+        copulas = power_copulas(10)
+        assert len(spec.forgets) + len(spec.targets) == 7
+        assert np.array_equal(tfdc(copulas, spec), fully_closed_tfdc(copulas, spec))
+
+    def test_group_straddling_chunks_keeps_its_minimum(self):
+        # 13 copulas x 5 references: the last copula's target group holds
+        # positions 61-64, across the 64-problem chunk boundary
+        full = tfdc_power_targets(m=12, T_ref=4000, seed=0)
+        spec = TFDCSpec(targets=full.targets[:4], forgets=full.forgets, cost=full.cost,
+                        cfg=full.cfg)
+        copulas = power_copulas(13, seed=4)
+        rs, cs, groups = problems(copulas, spec)
+        assert groups[63] == groups[64] and len(rs) == 65
+        assert np.array_equal(tfdc(copulas, spec), fully_closed_tfdc(copulas, spec))
+        screened = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
+        batch = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        kept = np.isfinite(screened)
+        assert np.array_equal(screened[kept], batch[kept])
+        for g in set(groups):
+            members = [b for b in range(len(rs)) if groups[b] == g]
+            assert screened[members].min() == batch[members].min()
+
+    def test_tied_targets_are_both_closed(self):
+        # two bit-identical targets tie on their pre-closure cost; where
+        # they hold the target minimum, both keep their full values
+        full = tfdc_power_targets(m=12, T_ref=4000, seed=0)
+        twin = CopulaHistogram(full.targets[1].mass.copy())
+        spec = TFDCSpec(targets=(full.targets[1], twin, full.targets[4]),
+                        forgets=full.forgets, cost=full.cost, cfg=full.cfg)
+        copulas = power_copulas(6, seed=5)
+        assert np.array_equal(tfdc(copulas, spec), fully_closed_tfdc(copulas, spec))
+        rs, cs, groups = problems(copulas, spec)
+        screened = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
+        batch = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        screened, batch = screened.reshape(6, 4), batch.reshape(6, 4)
+        nearest = batch[:, 1] == batch[:, 1:].min(axis=1)
+        assert nearest.any()
+        assert np.array_equal(screened[nearest, 1:3], batch[nearest, 1:3])
+        assert np.array_equal(screened[nearest, 1], screened[nearest, 2])
+
+    def test_closes_fewer_deficits(self, monkeypatch):
+        # A power-spec batch skips closure LPs. `sinkhorn_values_batch`, one
+        # group per problem, closes every deficit that the rule sends to an
+        # LP: not at noise level, and a pruned support within the limit.
+        spec = tfdc_power_targets(m=12, T_ref=4000, seed=0)
+        copulas = power_copulas(8, seed=6)
+        rs, cs, _ = problems(copulas, spec)
+        solve_lp = transport._lp_closure
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(transport, "_lp_closure", counting)
+        tfdc(copulas, spec)
+        screened = len(calls)
+        calls.clear()
+        sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        full = len(calls)
+        *_, err_r, err_c, _, _ = transport._sinkhorn_many(
+            np.stack([h.mass for h in rs]), np.stack([h.mass for h in cs]), spec.cost, spec.cfg)
+        to_lp = 0
+        for er, ec in zip(err_r, err_c):
+            s_r, s_c = er.sum(), ec.sum()
+            if s_r > 1e-12 and s_c > 1e-12:
+                support = np.count_nonzero(er > 1e-9 * s_r) * np.count_nonzero(ec > 1e-9 * s_c)
+                to_lp += support <= transport._CLOSURE_LP_LIMIT
+        assert 0 < screened < full == to_lp
+
+    def test_failed_lp_of_a_skipped_problem_fails_nothing(self, monkeypatch):
+        # An LP that would fail never runs for a problem that cannot be its
+        # group's minimum. Closed one by one, the same LPs fail the batch,
+        # which names them and gives NaN at them only.
+        spec = tfdc_power_targets(m=12, T_ref=4000, seed=0)
+        copulas = power_copulas(8, seed=7)
+        rs, cs, groups = problems(copulas, spec)
+        solve_lp = transport._lp_closure
+        solved = []
+
+        def recording(err_r, err_c, s_r, *args):
+            solved.append(s_r)
+            return solve_lp(err_r, err_c, s_r, *args)
+
+        monkeypatch.setattr(transport, "_lp_closure", recording)
+        full = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        closed_all = set(solved)
+        solved.clear()
+        screened = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
+        skipped = closed_all - set(solved)
+        assert skipped
+        scores = tfdc(copulas, spec)
+
+        def failing(err_r, err_c, s_r, *args):
+            if s_r in skipped:
+                raise ConvergenceFailure("transport LP failed: stub")
+            return solve_lp(err_r, err_c, s_r, *args)
+
+        monkeypatch.setattr(transport, "_lp_closure", failing)
+        again = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
+        assert np.array_equal(again, screened)
+        assert np.array_equal(tfdc(copulas, spec), scores)
+        with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
+            sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        failed = list(err.value.pair)
+        assert failed == sorted(failed) and len(failed) == len(skipped)
+        assert np.all(np.isinf(screened[failed]))
+        value = np.asarray(err.value.value)
+        assert np.array_equal(np.flatnonzero(np.isnan(value)), failed)
+        ok = ~np.isnan(value)
+        assert np.array_equal(value[ok], full[ok])
 
 
 class TestPearson:

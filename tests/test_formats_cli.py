@@ -213,14 +213,14 @@ class TestCli:
         write_cop(reference_copula("frechet_lower", 8), refs / "dn.cop")
         write_cop(reference_copula("gaussian", 8, rho=0.5), refs / "g.cop")
         write_cop(reference_copula("independence", 8), refs / "pi.cop")
-        solve = dependence.sinkhorn_values_batch
+        solve = dependence.sinkhorn_values_screened
         problems = []
 
-        def recording(rs, cs, cost, cfg):
+        def recording(rs, cs, cost, cfg, *, groups):
             problems.append(len(rs))
-            return solve(rs, cs, cost, cfg)
+            return solve(rs, cs, cost, cfg, groups=groups)
 
-        monkeypatch.setattr(dependence, "sinkhorn_values_batch", recording)
+        monkeypatch.setattr(dependence, "sinkhorn_values_screened", recording)
         assert main(["tfdc", "--input", str(dataset), "--m", "8",
                      "--targets", str(refs / "dn.cop"), str(refs / "g.cop"),
                      "--forgets", str(refs / "pi.cop"), "--out", str(tmp_path / "t")]

@@ -158,14 +158,14 @@ class TestTfdcPowerTargets:
         # which the spec keeps, and the copula's own), later ones K + 1
         spec = tfdc_power_targets(m=12, T_ref=4000, seed=0, debias=True)
         k = len(spec.forgets) + len(spec.targets)
-        solve = dependence.sinkhorn_values_batch
+        solve = dependence.sinkhorn_values_screened
         problems = []
 
-        def counting(rs, cs, cost, cfg):
+        def counting(rs, cs, cost, cfg, *, groups):
             problems.append(len(rs))
-            return solve(rs, cs, cost, cfg)
+            return solve(rs, cs, cost, cfg, groups=groups)
 
-        monkeypatch.setattr(dependence, "sinkhorn_values_batch", counting)
+        monkeypatch.setattr(dependence, "sinkhorn_values_screened", counting)
         coeff = make_tfdc_coefficient(spec)
         rng = np.random.default_rng(8)
         samples = [(x, x**2 + rng.standard_normal(200)) for x in rng.uniform(size=(3, 200))]

@@ -730,10 +730,10 @@ class TestDeficitClosure:
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
             sinkhorn_values_batch(rs, cs, cost, cfg)
         assert err.value.pair == (66,)
-        # the first pair solved with the random histogram is (0, 2)
+        # every pair solved with the random histogram fails, its self-distance too
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
             pairwise_distance_matrix([a, a, rs[66], a], cost, cfg)
-        assert err.value.pair == ((0, 2),)
+        assert err.value.pair == ((0, 2), (1, 2), (2, 2), (2, 3))
 
     def test_closures_do_not_depend_on_thread_count(self, rng, monkeypatch):
         # With one usable CPU every closure LP runs on the calling thread;
@@ -778,7 +778,7 @@ class TestDeficitClosure:
     def test_lowest_failing_closure_is_named(self, rng, monkeypatch, cpus):
         # Two closure LPs of one chunk fail. The calling thread takes LPs
         # from the back and a helper from the front, but whichever thread
-        # solved each, the failure names problem 3.
+        # solved each, the failure names problems 3 and 7, in that order.
         def failing_lp(*args, **kwargs):
             raise ConvergenceFailure("transport LP failed: stub")
 
@@ -792,7 +792,7 @@ class TestDeficitClosure:
             rs[b], cs[b] = random_histogram(rng, m), random_histogram(rng, m)
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
             sinkhorn_values_batch(rs, cs, cost, cfg)
-        assert err.value.pair == (3,)
+        assert err.value.pair == (3, 7)
 
     def test_usable_cpus_without_affinity_mask(self, monkeypatch):
         # where the platform has no affinity mask, the CPU count stands in
