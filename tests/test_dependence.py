@@ -270,6 +270,25 @@ class TestTfdcScreen:
         assert np.array_equal(screened[nearest, 1:3], batch[nearest, 1:3])
         assert np.array_equal(screened[nearest, 1], screened[nearest, 2])
 
+    def test_nearest_target_need_not_have_the_lowest_pre_closure_cost(self, monkeypatch):
+        # In this draw some copula's target of lowest pre-closure cost is not
+        # its nearest target once closed, so only the second wave finds it
+        rng = np.random.default_rng(1)
+        copulas = []
+        for i in range(8):
+            pattern = ("circle", "sin4pi", "quadratic", "linear", "cubic", "step")[i % 6]
+            noise = float(rng.choice([0.25, 0.5, 1.0]))
+            x, y = gen_power_pattern(pattern, noise, 200, int(rng.integers(2**31)))
+            copulas.append(empirical_copula_from_data(x, rng.permutation(y) if i % 2 else y, 12))
+        spec = tfdc_power_targets(m=12, T_ref=4000, seed=0)
+        rs, cs, _ = problems(copulas, spec)
+        closed = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg).reshape(8, 7)[:, 1:]
+        monkeypatch.setattr(transport, "_close_deficits", lambda er, ec, m: [(0.0, None)] * len(er))
+        unclosed = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg).reshape(8, 7)[:, 1:]
+        monkeypatch.undo()
+        assert np.any(unclosed.argmin(axis=1) != closed.argmin(axis=1))
+        assert np.array_equal(tfdc(copulas, spec), fully_closed_tfdc(copulas, spec))
+
     def test_closes_fewer_deficits(self, monkeypatch):
         # A power-spec batch skips closure LPs. `sinkhorn_values_batch`, one
         # group per problem, closes every deficit that the rule sends to an

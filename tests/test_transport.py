@@ -34,6 +34,7 @@ from coptrans.transport import (
     _transport_lp,
     diagonal_lower_bound,
     sinkhorn_values_batch,
+    sinkhorn_values_screened,
 )
 
 
@@ -793,6 +794,19 @@ class TestDeficitClosure:
         with pytest.raises(ConvergenceFailure, match="transport LP failed") as err:
             sinkhorn_values_batch(rs, cs, cost, cfg)
         assert err.value.pair == (3, 7)
+
+    def test_screen_keeps_a_tie_with_a_deficit_free_minimum(self, rng):
+        # a point mass against itself leaves no deficit, so its closed value
+        # equals its pre-closure cost; a bit-identical group mate ties with
+        # the minimum and keeps its value, while a costlier mate is skipped
+        m = 6
+        cost, cfg = GroundCost(m), SinkhornConfig(lam=default_lambda(m))
+        a, b = point_mass(m, 2, 3), random_histogram(rng, m)
+        values = sinkhorn_values_screened([a, a, a], [a, a, b], cost, cfg, groups=[5, 5, 5])
+        full = sinkhorn_values_batch([a, a, a], [a, a, b], cost, cfg)
+        assert np.array_equal(values[:2], full[:2]) and values[2] == np.inf
+        with pytest.raises(InvalidData):
+            sinkhorn_values_screened([a, a], [a, a], cost, cfg, groups=[0])
 
     def test_usable_cpus_without_affinity_mask(self, monkeypatch):
         # where the platform has no affinity mask, the CPU count stands in
