@@ -22,21 +22,18 @@ class InfeasibleProjection(CoptransError):
 
 
 class ConvergenceFailure(CoptransError):
-    """An iterative solver did not reach its tolerance: it hit its iteration
-    cap, or its residual was NaN.
+    """An iterative solver did not reach its tolerance (it hit its iteration
+    cap, or its residual was NaN), or a transport closure LP failed.
 
-    Carries the last marginal residual and the last objective value where one
-    is available; that value is not a distance, and a transport problem whose
-    budget ran out before its last anneal stage has NaN there. From a batched transport solve, `pair` names the problems
-    that failed: `sinkhorn_values_batch` gives their positions in the aligned
-    lists, `pairwise_distance_matrix` remaps them to (i, j) histogram
-    index pairs, `cluster_copulas` to (member, centroid index) pairs and
-    `tfdc` to (copula index, reference index) pairs, with None on the
-    missing side of a self-distance. `coptrans dist`, `cluster`, `tfdc` and
-    `query` name the failing copulas' variable pairs on stderr.
-    A batch runs every chunk, and every deficit-closure LP of a chunk,
-    before it raises, so `pair` names every failing problem, and the value
-    of a problem whose closure LP failed is NaN.
+    `residual` is the last marginal residual, the worst of a transport
+    call's problems, None when only closure LPs failed. A transport call's
+    `pair` names every failed problem, in order: by position from
+    `sinkhorn_values_batch`, and in the caller's terms from
+    `pairwise_distance_matrix`, `cluster_copulas` and `tfdc` (see each).
+    `value` holds the call's values in the engine's problem order: NaN
+    where a problem failed, +inf where one was screened out, elsewhere the
+    bits of a call where nothing fails. `coptrans dist`, `cluster`, `tfdc`
+    and `query` print the failing copulas' variable pairs.
     """
 
     def __init__(self, message, residual=None, value=None, pair=None):

@@ -25,7 +25,10 @@ Closure only adds a nonnegative cost to a problem's rounded plan cost, so
 that pre-closure cost is a lower bound on its value. A caller that needs
 only the minimum of each group of problems (`sinkhorn_values_screened`)
 has a deficit closed only where its problem can still be its group's
-minimum, and every minimum keeps its bits (see `_sinkhorn_many`).
+minimum, and every minimum keeps its bits (see `_sinkhorn_many`). Failures
+are per problem: a failed problem's value is NaN, a screened-out problem's
+is +inf, and every other value has the bits it would have in a batch where
+nothing fails; each entry point raises one ConvergenceFailure per call.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
 _CHECK_EVERY = 10   # marginal residual is evaluated every this many iterations
 _SOR_THETA = 1.7    # over-relaxation factor for the scaling updates (in (1, 2))
 _BATCH_CHUNK = 64   # problems per engine call; caps its (B, m, m) state whatever the batch size
+_SCALING = "scaling"  # the failure reason of a problem whose residual stayed at or above tol
 
 
 def default_lambda(m: int) -> float:
@@ -356,8 +360,9 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
     back; a deque's pops are thread-safe, so each LP is taken once. A caller
     that only waited saved less on the LPs than it lost in the numpy work
     after each wait. One CPU, or fewer than two LPs, starts no thread. Every
-    LP runs even when one fails; a failed LP's entry is its
-    ConvergenceFailure, which the caller raises (see `_sinkhorn_many`).
+    LP runs even when one fails; a failed LP's entry is its ConvergenceFailure.
+    Its problem's value is then NaN, a screened-out problem's is +inf, and
+    every other value has the bits it would have in a batch where nothing fails.
     """
     results = []
     todo = deque()
@@ -517,21 +522,31 @@ def _lex_swap_mask(R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return r[rows, first] > c[rows, first]
 
 
+class _Solves(NamedTuple):
+    """`_sinkhorn_many`'s results, one entry per problem, in problem order."""
+
+    values: np.ndarray      # (B,)
+    log_u: np.ndarray       # (B, m, m) rounded potentials, in the caller's orientation
+    log_v: np.ndarray
+    err_r: np.ndarray       # (B, m, m) rounding deficits
+    err_c: np.ndarray
+    corrections: list       # closure LP plans (see TransportPlan), None where there is none
+    iters: np.ndarray       # (B,) iterations over all anneal stages
+    residuals: np.ndarray   # (B,) last marginal residual at cfg.lam, inf if never run there
+    reasons: np.ndarray     # (B,) object: None, or why the problem failed
+
+
 def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: SinkhornConfig,
-                   group=None):
+                   group=None) -> _Solves:
     """Batched scaling iterations with sharpness annealing.
 
-    R, C have shape (B, m, m); returns (values, log_u, log_v, err_r, err_c,
-    corrections, iters), iters being the list of each problem's own
-    iteration count over all stages. Warm-starting through the sharpness
-    ramp changes nothing about the fixed point at cfg.lam; it only accelerates
+    R, C have shape (B, m, m). Warm-starting through the sharpness ramp
+    changes nothing about the fixed point at cfg.lam; it only accelerates
     convergence, and the schedule is a pure function of (lam, m). Every
     problem stops on its own rule and within its own budget of cfg.max_iter
-    iterations over all stages (see SinkhornConfig), so batching never
-    changes results, failures included. The final plan is rounded onto the
-    polytope, making the returned values costs of exactly feasible plans.
-    A problem fails when its residual is not below cfg.tol, NaN included,
-    unless it stalled.
+    iterations over all stages (see SinkhornConfig). The final plan is
+    rounded onto the polytope, making the returned values costs of exactly
+    feasible plans.
 
     The rounded plan's deficits are closed by `_close_deficits`, whose LPs
     run on several threads; each is a pure function of its own problem's
@@ -541,15 +556,19 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     minimum, in two waves. The first closes each group's problem of lowest
     pre-closure cost pv, ties to the lowest position; the second closes
     every other problem whose pv is not above its group's first-wave value.
-    The rest get value +inf, correction None and no closure. Why the
-    minimum keeps its bits: a closure cost e is >= 0 (LP, rank-one or the
-    noise-level 0), so a closed value fl(pv + e) is at least pv, and a
-    problem is skipped only when pv exceeds a closed value of its group, so
-    its own value would have been strictly above the minimum. Every closure
-    of both waves runs even when one fails; then one ConvergenceFailure
-    names every problem whose closure failed in `.pair`, in problem order,
-    and `.value` is NaN at those problems only. A group whose first-wave
-    closure failed has no known minimum, so none of its problems is skipped.
+    The rest are screened out, unclosed. Why the minimum keeps its bits: a
+    closure cost e is >= 0 (LP, rank-one or the noise-level 0), so a closed
+    value fl(pv + e) is at least pv, and a problem is skipped only when pv
+    exceeds a closed value of its group, so its own value would have been
+    strictly above the minimum.
+
+    Nothing raises. A problem fails when its residual is not below cfg.tol,
+    NaN included, and it did not stall (reason _SCALING), or when its
+    closure LP fails (reason: its message). Failed problems join neither
+    wave, and a group whose first-wave closure failed skips nothing. A
+    failed problem's value is NaN, a screened-out problem's is +inf, and
+    every other value has the bits it would have in a batch where nothing
+    fails.
     """
     swap = _lex_swap_mask(R, C)[:, None, None]
     R, C = np.where(swap, C, R), np.where(swap, R, C)
@@ -579,59 +598,53 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     # k is now the last stage's kernel, whose sharpness is cfg.lam
     # not `>=`, so that a NaN residual fails too
     failed = ~(residuals < cfg.tol) & ~stalled
-    if np.any(failed):
-        values = _plan_value_log(cost.axis_cost, k, lu, lv)
-        # a budget spent before the last stage left no potentials at cfg.lam
-        values[budget <= 0] = np.nan
-        worst = float(residuals[failed].max())
-        raise ConvergenceFailure(
-            f"sinkhorn residual {worst:.3e} >= tol {cfg.tol:.1e} after "
-            f"{', '.join(map(str, np.unique(total_iters[failed])))} iterations (lam={cfg.lam:g})",
-            residual=worst,
-            value=float(values[0]) if len(values) == 1 else values.tolist(),
-            pair=tuple(int(b) for b in np.flatnonzero(failed)),
-        )
+    reasons = np.where(failed, _SCALING, None)
     lu, lv, err_r, err_c = _round_to_polytope(k, lr, lc, R, C, lu, lv)
     values = _plan_value_log(cost.axis_cost, k, lu, lv)  # pre-closure costs
-    closures = [None] * len(R)
+    values[failed] = np.nan
+    corrections = [None] * len(R)
 
     def close(wave):
         for b, closure in zip(wave, _close_deficits(err_r[wave], err_c[wave], cost.m)):
-            closures[b] = closure
             if isinstance(closure, ConvergenceFailure):
-                values[b] = np.nan
-            else:
-                values[b] += closure[0]
+                values[b], reasons[b] = np.nan, str(closure)
+                continue
+            values[b] += closure[0]
+            corr = closure[1]
+            # undo the canonical orientation so plans describe the caller's direction
+            corrections[b] = (corr[1], corr[0], corr[2].T) if corr and swap[b, 0, 0] else corr
 
     _, g = np.unique(np.arange(len(R)) if group is None else group, return_inverse=True)
-    order = np.lexsort((values, g))  # stable: ties stay in problem order
+    order = np.lexsort((values, g))  # stable: ties stay in problem order, NaN sorts last
     lead = order[np.diff(g[order], prepend=-1) != 0]  # lead[j] opens group j
-    close(lead)
-    # a NaN, from a failed first-wave closure, compares False: that group skips nothing
+    close(lead[~failed[lead]])
+    # a NaN lead, all failed or its closure failed, compares False: that group skips nothing
     skip = values > values[lead][g]
-    rest = ~skip
+    rest = ~skip & ~failed
     rest[lead] = False
     close(np.flatnonzero(rest))
     values[skip] = np.inf
-    failed = [b for b, closure in enumerate(closures) if isinstance(closure, ConvergenceFailure)]
-    if failed:
-        raise ConvergenceFailure(
-            "; ".join(dict.fromkeys(str(closures[b]) for b in failed)),
-            value=float(values[0]) if len(values) == 1 else values.tolist(),
-            pair=tuple(failed),
-        )
-    corrections = []
-    for b, closure in enumerate(closures):
-        corr = None if closure is None else closure[1]
-        if swap[b, 0, 0] and corr is not None:
-            corr = (corr[1], corr[0], corr[2].T)
-        corrections.append(corr)
-    # undo the canonical orientation so plans describe the caller's direction
-    out_lu = np.where(swap, lv, lu)
-    out_lv = np.where(swap, lu, lv)
-    out_er = np.where(swap, err_c, err_r)
-    out_ec = np.where(swap, err_r, err_c)
-    return values, out_lu, out_lv, out_er, out_ec, corrections, total_iters.tolist()
+    return _Solves(values, np.where(swap, lv, lu), np.where(swap, lu, lv),
+                   np.where(swap, err_c, err_r), np.where(swap, err_r, err_c),
+                   corrections, total_iters, residuals, reasons)
+
+
+def _raise_failures(values, residuals, iters, reasons, cfg: SinkhornConfig):
+    """Raise one ConvergenceFailure for `_Solves` fields over a whole call, if
+    any problem failed. Its message has one clause for all scaling failures,
+    then each distinct closure-LP message, so it does not grow with their count."""
+    failed = np.flatnonzero(np.not_equal(reasons, None))
+    if not failed.size:
+        return
+    scaling = reasons == _SCALING
+    residual = float(residuals[scaling].max()) if scaling.any() else None
+    clauses = list(dict.fromkeys(why for why in reasons[failed] if why != _SCALING))
+    if scaling.any():
+        counts = ", ".join(map(str, np.unique(iters[scaling])))
+        clauses.insert(0, f"sinkhorn residual {residual:.3e} >= tol {cfg.tol:.1e} after "
+                          f"{counts} iterations (lam={cfg.lam:g})")
+    raise ConvergenceFailure("; ".join(clauses), residual=residual, value=values,
+                             pair=tuple(failed.tolist()))
 
 
 def _check_pair(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost):
@@ -649,11 +662,11 @@ def sinkhorn_distance(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
     the entropic plan is feasible for the unregularized problem.
     """
     _check_pair(r, c, cost)
-    values, lu, lv, er, ec, corrs, iters = _sinkhorn_many(
-        r.mass[None, :, :], c.mass[None, :, :], cost, cfg
-    )
-    plan = TransportPlan(cost.m, cfg.lam, lu[0], lv[0], er[0], ec[0], corrs[0])
-    return float(values[0]), plan, iters[0]
+    out = _sinkhorn_many(r.mass[None, :, :], c.mass[None, :, :], cost, cfg)
+    _raise_failures(out.values, out.residuals, out.iters, out.reasons, cfg)
+    plan = TransportPlan(cost.m, cfg.lam, out.log_u[0], out.log_v[0], out.err_r[0],
+                         out.err_c[0], out.corrections[0])
+    return float(out.values[0]), plan, int(out.iters[0])
 
 
 def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.ndarray:
@@ -661,13 +674,10 @@ def sinkhorn_values_batch(rs, cs, cost: GroundCost, cfg: SinkhornConfig) -> np.n
 
     Takes any number of problems and hands them to the engine in chunks of
     _BATCH_CHUNK. Each value is a pure function of its own pair, so neither
-    the chunking nor the batch mates change a bit of it. Every chunk runs
-    even when one fails; then one ConvergenceFailure lists the positions of
-    all failing problems in `.pair`, and `.value` holds a value for every
-    problem. Only converged ones are distances: an unconverged problem's
-    entry is the cost of its last unrounded plan, and it is NaN for a
-    problem whose budget ran out before the last anneal stage and for a
-    problem whose closure LP failed.
+    the chunking nor the batch mates change a bit of it, failures included.
+    Every chunk runs; then one ConvergenceFailure names the positions of
+    all failed problems in `.pair`, and its `.value` has NaN at them and
+    the bits of a batch where nothing fails everywhere else.
     """
     return sinkhorn_values_screened(rs, cs, cost, cfg, groups=np.arange(len(rs)))
 
@@ -678,12 +688,13 @@ def sinkhorn_values_screened(rs, cs, cost: GroundCost, cfg: SinkhornConfig, *,
 
     groups[i] is problem i's group id. Every problem is solved, but a
     rounding deficit is closed only where its problem can still be its
-    group's minimum (see `_sinkhorn_many`); the others get +inf. So each
-    group's minimum, and every value equal to it, keeps
-    `sinkhorn_values_batch`'s bits. A group may straddle chunks: the minimum
-    of each part is exact, so the group's is too. Failures are reported as
-    by `sinkhorn_values_batch`, with +inf at skipped problems. With every
-    problem its own group, no deficit is skipped: that is
+    group's minimum (see `_sinkhorn_many`). So each group's minimum, and
+    every value equal to it, keeps `sinkhorn_values_batch`'s bits. A group
+    may straddle chunks: the minimum of each part is exact, so the group's
+    is too. In the values, or in the one ConvergenceFailure's `.value`, a
+    failed problem's entry is NaN, a screened-out one's is +inf, and every
+    other entry has the bits it would have in a batch where nothing fails.
+    With every problem its own group, nothing is screened out: that is
     `sinkhorn_values_batch`.
     """
     groups = np.asarray(groups)
@@ -693,26 +704,16 @@ def sinkhorn_values_screened(rs, cs, cost: GroundCost, cfg: SinkhornConfig, *,
         raise InvalidData("need equally many source and destination histograms")
     for r, c in zip(rs, cs):
         _check_pair(r, c, cost)
-    values, failures = [], []
+    parts = []
     for start in range(0, len(rs), _BATCH_CHUNK):
         chunk = slice(start, start + _BATCH_CHUNK)
         R = np.stack([h.mass for h in rs[chunk]])
         C = np.stack([h.mass for h in cs[chunk]])
-        try:
-            values.append(_sinkhorn_many(R, C, cost, cfg, groups[chunk])[0])
-        except ConvergenceFailure as exc:
-            exc.pair = tuple(start + b for b in exc.pair)
-            failures.append(exc)
-            values.append(np.atleast_1d(np.asarray(exc.value, dtype=float)))
-    if failures:
-        residuals = [exc.residual for exc in failures if exc.residual is not None]
-        raise ConvergenceFailure(
-            "; ".join(dict.fromkeys(str(exc) for exc in failures)),
-            residual=float(np.max(residuals)) if residuals else None,
-            value=np.concatenate(values),
-            pair=tuple(b for exc in failures for b in exc.pair),
-        )
-    return np.concatenate(values)
+        out = _sinkhorn_many(R, C, cost, cfg, groups[chunk])
+        parts.append((out.values, out.residuals, out.iters, out.reasons))
+    values, *record = (np.concatenate(field) for field in zip(*parts))
+    _raise_failures(values, *record, cfg)
+    return values
 
 
 def _diagonal_cdfs(masses: np.ndarray) -> np.ndarray:

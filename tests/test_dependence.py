@@ -309,10 +309,10 @@ class TestTfdcScreen:
         calls.clear()
         sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
         full = len(calls)
-        *_, err_r, err_c, _, _ = transport._sinkhorn_many(
+        out = transport._sinkhorn_many(
             np.stack([h.mass for h in rs]), np.stack([h.mass for h in cs]), spec.cost, spec.cfg)
         to_lp = 0
-        for er, ec in zip(err_r, err_c):
+        for er, ec in zip(out.err_r, out.err_c):
             s_r, s_c = er.sum(), ec.sum()
             if s_r > 1e-12 and s_c > 1e-12:
                 support = np.count_nonzero(er > 1e-9 * s_r) * np.count_nonzero(ec > 1e-9 * s_c)

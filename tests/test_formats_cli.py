@@ -486,6 +486,21 @@ class TestCli:
         assert "failing pairs (3): x|y, x|z, y|z" in err
         assert "convergence failure" in err
 
+    def test_dist_failure_in_two_chunks_has_one_residual_clause(self, tmp_path, capsys):
+        # Six columns make 15 copulas and 120 problems, two engine chunks.
+        # Every problem reaches the last anneal stage and fails there, and
+        # each chunk used to add a clause with its own worst residual.
+        rng = np.random.default_rng(3)
+        f = tmp_path / "data.csv"
+        write_lines(f, ["a,b,c,d,e,f"] + [",".join(map(str, row))
+                                          for row in rng.uniform(size=(100, 6))])
+        code = main(["dist", "--input", str(f), "--m", "6",
+                     "--max-iter", "150", "--tol", "1e-9", "--out", str(tmp_path / "d")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "failing pairs (15): " in err
+        assert err.count("sinkhorn residual") == 1
+
     def test_query_failure_names_only_the_failing_pairs(self, dataset, tmp_path, capsys):
         # at this budget only x|y, the pair nearest the comonotone target,
         # stays above tol

@@ -18,6 +18,7 @@ from coptrans import (
     OracleTooLarge,
     SinkhornConfig,
     default_lambda,
+    empirical_copula_from_data,
     exact_ot,
     pairwise_distance_matrix,
     reference_copula,
@@ -61,6 +62,22 @@ def dense_plan(plan):
             idx_r, idx_c, small = plan.correction
             dense[np.ix_(idx_r, idx_c)] += small
     return dense
+
+
+def mixed_convergence_pairs():
+    """Twelve m=8 (source, destination) pairs and a config at which, solved
+    alone, pairs 5 and 6 converge and every other pair fails: six pairs of
+    sample copulas with y = x + noise, then six of random histograms."""
+    rng = np.random.default_rng(5)
+    m = 8
+
+    def sample_copula():
+        x = rng.uniform(size=200)
+        return empirical_copula_from_data(x, x + 0.3 * rng.standard_normal(200), m)
+
+    pairs = ([(sample_copula(), sample_copula()) for _ in range(6)]
+             + [(random_histogram(rng, m), random_histogram(rng, m)) for _ in range(6)])
+    return pairs, GroundCost(m), SinkhornConfig(lam=default_lambda(m), max_iter=200, tol=1e-6)
 
 
 def as_bytes(result):
@@ -401,15 +418,30 @@ class TestBatchedValues:
             sinkhorn_values_batch(rs, cs, cost, cfg)
         assert err.value.pair == (5, 66)
         value = err.value.value
-        assert value.shape == (70,) and np.all(np.isfinite(value))
+        assert value.shape == (70,) and np.all(np.isnan(value[[5, 66]]))
         converged = [b for b in range(70) if b not in (5, 66)]
         assert np.array_equal(value[converged], sinkhorn_values_batch(
             [rs[b] for b in converged], [cs[b] for b in converged], cost, cfg))
         for b in (5, 66):
             with pytest.raises(ConvergenceFailure) as alone:
                 sinkhorn_values_batch([rs[b]], [cs[b]], cost, cfg)
-            assert alone.value.value[0] == value[b]
+            assert np.isnan(alone.value.value[0])
             assert alone.value.residual <= err.value.residual
+
+    def test_failed_problem_leaves_converged_mates_their_bits(self):
+        # A chunk with a failed problem used to stop before rounding, which
+        # gave its converged mates the costs of their unrounded plans: below
+        # the exact optimum, so the cost of no feasible plan.
+        pairs, cost, cfg = mixed_convergence_pairs()
+        rs, cs = zip(*(pairs[b] for b in (5, 6, 0)))
+        with pytest.raises(ConvergenceFailure) as err:
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert err.value.pair == (2,)
+        value = err.value.value
+        assert np.array_equal(value[:2], sinkhorn_values_batch(rs[:2], cs[:2], cost, cfg))
+        for v, r, c in zip(value[:2], rs, cs):
+            assert v >= exact_ot(r, c, cost)[0]
+        assert np.isnan(value[2])
 
     def test_slow_batch_mate_leaves_last_stage_budget_alone(self):
         # Alone, p runs 50 warm-up iterations and then 140 of the 150 left to
@@ -533,10 +565,10 @@ class TestBatchedValues:
             sys.setswitchinterval(interval)
         for i, got in enumerate(results):
             want = serial[i % 2]
-            for a, b in zip(got[:5], want[:5]):  # values, potentials, deficits
-                assert np.array_equal(a, b)
-            assert as_bytes(got[5]) == as_bytes(want[5])  # corrections
-            assert got[6] == want[6]
+            for field in ("values", "log_u", "log_v", "err_r", "err_c", "iters", "residuals"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert as_bytes(got.corrections) == as_bytes(want.corrections)
+            assert list(got.reasons) == list(want.reasons)
 
     def test_lex_swap_mask_matches_loop(self, rng):
         R = rng.integers(0, 3, size=(40, 3, 3)).astype(float)
@@ -736,6 +768,29 @@ class TestDeficitClosure:
             pairwise_distance_matrix([a, a, rs[66], a], cost, cfg)
         assert err.value.pair == ((0, 2), (1, 2), (2, 2), (2, 3))
 
+    def test_closure_failure_beside_a_scaling_failure_is_named(self, monkeypatch):
+        # Pair 0 fails its scaling and pair 5 converges, and its deficit
+        # goes to the LP. A chunk that failed its scaling used to raise
+        # before any closure ran, so the LP failure went unnamed.
+        pairs, cost, cfg = mixed_convergence_pairs()
+        rs, cs = zip(*(pairs[b] for b in (0, 5)))
+        with pytest.raises(ConvergenceFailure) as alone:
+            sinkhorn_values_batch(rs[:1], cs[:1], cost, cfg)
+        lp_calls = []
+
+        def failing_lp(*args, **kwargs):
+            lp_calls.append(1)
+            raise ConvergenceFailure("transport LP failed: stub")
+
+        monkeypatch.setattr(transport, "_transport_lp", failing_lp)
+        with pytest.raises(ConvergenceFailure) as err:
+            sinkhorn_values_batch(rs, cs, cost, cfg)
+        assert len(lp_calls) == 1
+        assert err.value.pair == (0, 1)
+        assert np.all(np.isnan(err.value.value))
+        assert err.value.residual == alone.value.residual
+        assert str(err.value) == f"{alone.value}; transport LP failed: stub"
+
     def test_closures_do_not_depend_on_thread_count(self, rng, monkeypatch):
         # With one usable CPU every closure LP runs on the calling thread;
         # with four, helper threads solve some of them. The full return,
@@ -768,7 +823,7 @@ class TestDeficitClosure:
         # threads, or drops one, changes the count. A deficit goes to the LP
         # unless it is at noise level or its pruned support is too large.
         to_lp = 0
-        for er, ec in zip(out[3], out[4]):
+        for er, ec in zip(out.err_r, out.err_c):
             s_r, s_c = er.sum(), ec.sum()
             if s_r > 1e-12 and s_c > 1e-12:
                 support = np.count_nonzero(er > 1e-9 * s_r) * np.count_nonzero(ec > 1e-9 * s_c)
