@@ -97,7 +97,7 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
     exit ends on an assignment step, and `objective_trace` holds every
     round's objective.
 
-    k may not exceed the number of bitwise-distinct histograms, since equal
+    k may not exceed the number of distinct histograms, by value, since equal
     histograms always share a cluster. After each assignment the lowest
     empty cluster is re-seeded with the histogram farthest from its current
     centroid and every cluster is checked again, at most k re-seeds per
@@ -116,7 +116,8 @@ def cluster_copulas(hists, k: int, cost: GroundCost, cfg: SinkhornConfig,
     """
     hists = list(hists)
     n = len(hists)
-    distinct = len({h.mass.tobytes() for h in hists})
+    # + 0.0 turns -0.0 into 0.0 and changes no other bit, so equal values key alike
+    distinct = len({(h.mass + 0.0).tobytes() for h in hists})
     if not 1 <= k <= distinct:
         raise InvalidData(
             f"need 1 <= k <= {distinct}, the number of distinct histograms "

@@ -37,7 +37,18 @@ def _atomic_write_text(path, text: str):
         partial.write_text(text, encoding="utf-8")
         os.replace(partial, path)
     except OSError as exc:
+        partial.unlink(missing_ok=True)
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file; a missing or undecodable file raises ParseError."""
+    if not path.exists():
+        raise ParseError(f"no such file: {path}", path=str(path))
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})", path=str(path)) from None
 
 
 def load_csv(path) -> ObservationTable:
@@ -47,13 +58,10 @@ def load_csv(path) -> ObservationTable:
     rejected with their 1-based line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}", path=str(path))
     rows: list[list[float]] = []
     names: list[str] | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+    with io.StringIO(_read_text(path), newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             if names is None:
@@ -95,9 +103,7 @@ def write_cop(c: CopulaHistogram, path):
 def read_cop(path) -> CopulaHistogram:
     """Parse a .cop file; rejects negatives and total mass outside 1 +/- 1e-6."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"no such file: {path}", path=str(path))
-    text = path.read_text(encoding="utf-8").strip().splitlines()
+    text = _read_text(path).strip().splitlines()
     if not text:
         raise ParseError("empty .cop file", path=str(path), line=1)
     try:

@@ -273,13 +273,14 @@ def _safe_log(a: np.ndarray) -> np.ndarray:
 
 
 def _round_to_polytope(k, lr, lc, R, C, lu, lv):
-    """Project the factored plan onto the transportation polytope.
+    """Scale the factored plan down into the transportation polytope.
 
-    Scales rows then columns down to never exceed their targets, and closes
-    the remaining mass deficit with a rank-one term. The result has exact
-    marginals, so its cost is a true upper bound on the transport optimum
-    regardless of where the iterations stopped. Returns adjusted potentials
-    plus the deficit grids (err_r, err_c).
+    Scales rows then columns down to never exceed their targets, and returns
+    the adjusted potentials plus the mass still missing from each marginal,
+    the deficit grids (err_r, err_c). `_close_deficits` routes that deficit
+    (left as it is at noise level, else rank-one or by LP), and the closed
+    plan has exact marginals, so its cost is a true upper bound on the
+    transport optimum regardless of where the iterations stopped.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         row = np.exp(lu + _log_kernel_apply(k, lv))
@@ -340,7 +341,7 @@ def _usable_cpus() -> int:
 
 
 def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
-    """(cost, correction) closing each problem's rounding deficit, in problem order.
+    """(cost, correction, reason) closing each problem's rounding deficit, in problem order.
 
     err_r and err_c have shape (B, m, m). Small deficits are closed
     optimally with a tiny transport LP over their support cells, whose plan
@@ -359,10 +360,11 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
     take them from the front of the list and the calling thread from the
     back; a deque's pops are thread-safe, so each LP is taken once. A caller
     that only waited saved less on the LPs than it lost in the numpy work
-    after each wait. One CPU, or fewer than two LPs, starts no thread. Every
-    LP runs even when one fails; a failed LP's entry is its ConvergenceFailure.
-    Its problem's value is then NaN, a screened-out problem's is +inf, and
-    every other value has the bits it would have in a batch where nothing fails.
+    after each wait. One CPU, or fewer than two LPs, starts no thread.
+
+    reason is None, and correction None for a deficit left at noise level
+    (cost 0) or closed rank-one. Every LP runs even when one fails; a failed
+    LP's entry is (nan, None, its message), so its problem's value is NaN.
     """
     results = []
     todo = deque()
@@ -373,7 +375,7 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
         # noise level the plan is already feasible to that level and closure
         # would just amplify rounding junk.
         if s_r <= 1e-12 or s_c <= 1e-12:
-            results.append((0.0, None))
+            results.append((0.0, None, None))
             continue
         # Support cells carrying under a billionth of the deficit are
         # rounding noise: pruning them keeps the LP well-scaled at no
@@ -381,7 +383,7 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
         idx_r = np.flatnonzero(er.ravel() > 1e-9 * s_r)
         idx_c = np.flatnonzero(ec.ravel() > 1e-9 * s_c)
         if idx_r.size * idx_c.size > _CLOSURE_LP_LIMIT:
-            results.append((_rank_one_cost(GroundCost(m).axis_cost, er, ec), None))
+            results.append((_rank_one_cost(GroundCost(m).axis_cost, er, ec), None, None))
         else:
             results.append(None)
             todo.append((b, er, ec, s_r, idx_r, idx_c))
@@ -393,9 +395,9 @@ def _close_deficits(err_r: np.ndarray, err_c: np.ndarray, m: int) -> list:
             except IndexError:  # the list is empty
                 return
             try:
-                results[b] = _lp_closure(*lp, m)
+                results[b] = (*_lp_closure(*lp, m), None)
             except ConvergenceFailure as exc:
-                results[b] = exc
+                results[b] = (np.nan, None, str(exc))
 
     helpers = min(_usable_cpus(), len(todo)) - 1
     # an executor starts its threads on submit, so without helpers it starts none
@@ -423,7 +425,7 @@ def _anneal_schedule(lam: float, m: int) -> list[float]:
 # -inf potentials outside the support make NaN in the relaxation combination,
 # which np.where masks back to -inf at once
 @np.errstate(invalid="ignore")
-def _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv):
+def _scaling_loop(k, lr, lc, R, C, tol, budget, out_lu, out_lv):
     """Over-relaxed scaling updates with per-problem stopping.
 
     Over-relaxation keeps the plain Sinkhorn fixed point but contracts much
@@ -443,26 +445,30 @@ def _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv):
     is below tol, at its cap, or as stalled after 5 checks in a row at
     plain updates without a 10% gain on its best residual. That rule also
     fires on slow convergence, so a stalled problem can freeze well above
-    tol. At each residual check the frozen problems are written to the
-    outputs and dropped from every per-problem array, so later iterations
-    touch only the problems still open; `active` maps the remaining rows
-    back to their batch positions. Returns (lu, lv, residuals, iterations,
+    tol. A problem whose cap is 0 runs nothing: it keeps the potentials it
+    came with, residual inf, 0 iterations, not stalled. The loop works on
+    copies of the open problems' rows; at each residual check the frozen
+    problems are written back into out_lu and out_lv, in place, and dropped
+    from every per-problem array, so later iterations touch only the
+    problems still open. `active` maps the remaining rows back to their
+    batch positions. Returns (out_lu, out_lv, residuals, iterations,
     stalled), each per problem.
     """
     B = R.shape[0]
+    residuals = np.full(B, np.inf)
+    iters = np.zeros(B, dtype=int)
+    stalled = np.zeros(B, dtype=bool)
+    cap = np.broadcast_to(budget, (B,))
+    active = np.flatnonzero(cap > 0)
+    if not active.size:
+        return out_lu, out_lv, residuals, iters, stalled
+    lu, lv, lr, lc, R, C, cap = (a[active] for a in (out_lu, out_lv, lr, lc, R, C, cap))
     sup_r = np.isfinite(lr)
     sup_c = np.isfinite(lc)
     neg_inf = np.float64(-np.inf)
-    theta = np.full((B, 1, 1), _SOR_THETA)
-    best = np.full(B, np.inf)
-    stagnant = np.zeros(B, dtype=int)
-    active = np.arange(B)
-    stalled = np.zeros(B, dtype=bool)
-    out_lu = lu.copy()
-    out_lv = lv.copy()
-    residuals = np.full(B, np.inf)
-    iters = np.zeros(B, dtype=int)
-    cap = np.broadcast_to(budget, (B,))
+    theta = np.full((active.size, 1, 1), _SOR_THETA)
+    best = np.full(active.size, np.inf)
+    stagnant = np.zeros(active.size, dtype=int)
     next_cap = cap.min()  # the smallest cap still open
     klv = _log_kernel_apply(k, lv)
     for it in range(1, cap.max() + 1):
@@ -523,14 +529,22 @@ def _lex_swap_mask(R: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 
 class _Solves(NamedTuple):
-    """`_sinkhorn_many`'s results, one entry per problem, in problem order."""
+    """`_sinkhorn_many`'s results, one entry per problem, in problem order.
+
+    Values, iteration counts, residuals and reasons do not depend on the
+    order of a problem's two histograms. The plan fields are in the engine's
+    canonical orientation (see `_lex_swap_mask`): where swap is True they
+    describe the problem (C, R), not the caller's (R, C).
+    `sinkhorn_distance`, the one reader of plans, turns them back.
+    """
 
     values: np.ndarray      # (B,)
-    log_u: np.ndarray       # (B, m, m) rounded potentials, in the caller's orientation
+    log_u: np.ndarray       # (B, m, m) rounded potentials
     log_v: np.ndarray
     err_r: np.ndarray       # (B, m, m) rounding deficits
     err_c: np.ndarray
     corrections: list       # closure LP plans (see TransportPlan), None where there is none
+    swap: np.ndarray        # (B,) bool: the plan fields describe (C, R)
     iters: np.ndarray       # (B,) iterations over all anneal stages
     residuals: np.ndarray   # (B,) last marginal residual at cfg.lam, inf if never run there
     reasons: np.ndarray     # (B,) object: None, or why the problem failed
@@ -570,27 +584,23 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     every other value has the bits it would have in a batch where nothing
     fails.
     """
-    swap = _lex_swap_mask(R, C)[:, None, None]
-    R, C = np.where(swap, C, R), np.where(swap, R, C)
+    swap = _lex_swap_mask(R, C)
+    R, C = np.where(swap[:, None, None], C, R), np.where(swap[:, None, None], R, C)
     lr = _safe_log(R)
     lc = _safe_log(C)
     lv = np.zeros_like(C)
     lu = np.zeros_like(R)
     schedule = _anneal_schedule(cfg.lam, cost.m)
-    total_iters = np.zeros(len(R), dtype=int)
+    iters = np.zeros(len(R), dtype=int)  # over all stages
     for stage, lam_s in enumerate(schedule):
         k = _kernel(-lam_s * cost.axis_cost)
         last = stage == len(schedule) - 1
-        left = cfg.max_iter - total_iters
+        left = cfg.max_iter - iters
         tol, budget = (cfg.tol, left) if last else (max(cfg.tol, 1e-4), np.minimum(left, 1000))
         # a problem whose budget is spent runs no later stage: it ends with
-        # no residual at cfg.lam, so it fails
-        run = np.flatnonzero(budget > 0)
-        residuals, stalled = np.full(len(R), np.inf), np.zeros(len(R), dtype=bool)
-        if run.size:
-            lu[run], lv[run], residuals[run], iters, stalled[run] = _scaling_loop(
-                k, lr[run], lc[run], R[run], C[run], tol, budget[run], lu[run], lv[run])
-            total_iters[run] += iters
+        # residual inf at cfg.lam, so it fails
+        lu, lv, residuals, spent, stalled = _scaling_loop(k, lr, lc, R, C, tol, budget, lu, lv)
+        iters += spent
         if not last:
             ratio = schedule[stage + 1] / lam_s
             lu = lu * ratio
@@ -605,14 +615,10 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     corrections = [None] * len(R)
 
     def close(wave):
-        for b, closure in zip(wave, _close_deficits(err_r[wave], err_c[wave], cost.m)):
-            if isinstance(closure, ConvergenceFailure):
-                values[b], reasons[b] = np.nan, str(closure)
-                continue
-            values[b] += closure[0]
-            corr = closure[1]
-            # undo the canonical orientation so plans describe the caller's direction
-            corrections[b] = (corr[1], corr[0], corr[2].T) if corr and swap[b, 0, 0] else corr
+        closures = _close_deficits(err_r[wave], err_c[wave], cost.m)
+        for b, (extra, correction, reason) in zip(wave, closures):
+            values[b] += extra  # NaN where the LP failed
+            corrections[b], reasons[b] = correction, reason
 
     _, g = np.unique(np.arange(len(R)) if group is None else group, return_inverse=True)
     order = np.lexsort((values, g))  # stable: ties stay in problem order, NaN sorts last
@@ -624,9 +630,7 @@ def _sinkhorn_many(R: np.ndarray, C: np.ndarray, cost: GroundCost, cfg: Sinkhorn
     rest[lead] = False
     close(np.flatnonzero(rest))
     values[skip] = np.inf
-    return _Solves(values, np.where(swap, lv, lu), np.where(swap, lu, lv),
-                   np.where(swap, err_c, err_r), np.where(swap, err_r, err_c),
-                   corrections, total_iters, residuals, reasons)
+    return _Solves(values, lu, lv, err_r, err_c, corrections, swap, iters, residuals, reasons)
 
 
 def _raise_failures(values, residuals, iters, reasons, cfg: SinkhornConfig):
@@ -664,8 +668,12 @@ def sinkhorn_distance(r: CopulaHistogram, c: CopulaHistogram, cost: GroundCost,
     _check_pair(r, c, cost)
     out = _sinkhorn_many(r.mass[None, :, :], c.mass[None, :, :], cost, cfg)
     _raise_failures(out.values, out.residuals, out.iters, out.reasons, cfg)
-    plan = TransportPlan(cost.m, cfg.lam, out.log_u[0], out.log_v[0], out.err_r[0],
-                         out.err_c[0], out.corrections[0])
+    lu, lv, err_r, err_c = out.log_u[0], out.log_v[0], out.err_r[0], out.err_c[0]
+    corr = out.corrections[0]
+    if out.swap[0]:  # the engine solved (c, r): turn the plan back to (r, c)
+        lu, lv, err_r, err_c = lv, lu, err_c, err_r
+        corr = (corr[1], corr[0], corr[2].T) if corr else None
+    plan = TransportPlan(cost.m, cfg.lam, lu, lv, err_r, err_c, corr)
     return float(out.values[0]), plan, int(out.iters[0])
 
 

@@ -12,6 +12,7 @@ from coptrans import (
     cluster_copulas,
     default_lambda,
     empirical_copula_from_data,
+    reference_copula,
     wasserstein_barycenter,
 )
 from coptrans import clustering
@@ -229,6 +230,19 @@ class TestClusterCopulas:
         h, g = mw_hists[0], mw_hists[3]
         with pytest.raises(InvalidData, match="k <= 2, the number of distinct histograms"):
             cluster_copulas([h, h, g], 3, cost, cfg, seed=0)
+
+    def test_signed_zero_does_not_make_a_histogram_distinct(self):
+        # -0.0 and 0.0 are equal masses, so these two histograms share a
+        # cluster; counted by their bytes they made k=2 look possible
+        m = 4
+        h = reference_copula("frechet_upper", m)
+        mass = h.mass.copy()
+        mass[0, 1] = -0.0
+        g = CopulaHistogram(mass)
+        assert np.signbit(g.mass[0, 1]) and g.same_bits(h)
+        with pytest.raises(InvalidData, match="k <= 1, the number of distinct histograms"):
+            cluster_copulas([h, g], 2, GroundCost(m), SinkhornConfig(lam=default_lambda(m)),
+                            seed=0)
 
     def test_reseed_rechecks_every_cluster(self, monkeypatch):
         # These barycenters land far from their members, so a later re-seed

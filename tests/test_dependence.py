@@ -283,7 +283,8 @@ class TestTfdcScreen:
         spec = tfdc_power_targets(m=12, T_ref=4000, seed=0)
         rs, cs, _ = problems(copulas, spec)
         closed = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg).reshape(8, 7)[:, 1:]
-        monkeypatch.setattr(transport, "_close_deficits", lambda er, ec, m: [(0.0, None)] * len(er))
+        monkeypatch.setattr(transport, "_close_deficits",
+                            lambda er, ec, m: [(0.0, None, None)] * len(er))
         unclosed = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg).reshape(8, 7)[:, 1:]
         monkeypatch.undo()
         assert np.any(unclosed.argmin(axis=1) != closed.argmin(axis=1))

@@ -304,6 +304,31 @@ class TestCli:
                      "--out", str(blocker / "sub")])
         assert code == 4
 
+    def test_failed_write_leaves_no_partial_file(self, dataset, tmp_path, capsys):
+        # the matrix is written to a .partial file, which cannot replace a directory
+        out = tmp_path / "o"
+        (out / "distance-matrix.csv").mkdir(parents=True)
+        assert main(["dist", "--input", str(dataset), "--m", "6", "--out", str(out)]) == 4
+        assert "cannot write" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["distance-matrix.csv"]
+
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "data.csv"
+        f.write_bytes(b"a,b\n1,2\n\xff\xfe,4\n5,6\n")
+        out = tmp_path / "o"
+        assert main(["copula", "--input", str(f), "--m", "6", "--out", str(out)]) == 2
+        assert f"{f}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_query_target_exits_2(self, dataset, tmp_path, capsys):
+        target = tmp_path / "t.cop"
+        target.write_bytes(b"2\n0.5 \xff\n0.25 0.25\n")
+        out = tmp_path / "q"
+        assert main(["query", "--input", str(dataset), "--m", "2", "--target", str(target),
+                     "--out", str(out)]) == 2
+        assert f"{target}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--patterns", "linear,circle,bogus"),
         ("--noise-levels", "0,1,-1"),

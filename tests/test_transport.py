@@ -501,6 +501,21 @@ class TestBatchedValues:
                                             np.zeros_like(C[:1]))
             assert as_bytes([a[b:b + 1] for a in both]) == as_bytes(alone)
 
+    def test_scaling_loop_runs_nothing_for_a_problem_without_budget(self, rng):
+        # a zero cap keeps the problem as it came, whatever its batch mate runs
+        m = 6
+        R = np.stack([random_histogram(rng, m).mass for _ in range(2)])
+        C = np.stack([random_sample_copula(rng, m, T=30).mass for _ in range(2)])
+        lr, lc = transport._safe_log(R), transport._safe_log(C)
+        k = _kernel(-default_lambda(m) * GroundCost(m).axis_cost)
+        # one problem without budget, then both
+        for budget, ran in ((np.array([0, 500]), [False, True]), (0, [False, False])):
+            lu, lv, residuals, iters, stalled = transport._scaling_loop(
+                k, lr, lc, R, C, 1e-6, budget, np.zeros_like(R), np.zeros_like(C))
+            assert list(iters > 0) == ran and not stalled[0]
+            for b in np.flatnonzero(np.logical_not(ran)):
+                assert not lu[b].any() and not lv[b].any() and residuals[b] == np.inf
+
     def test_nan_residual_names_failing_problem(self, rng, monkeypatch):
         # A NaN residual must fail its problem, not pass as converged. No
         # known input drives the solver to one, so a wrapped loop plants it
@@ -703,8 +718,8 @@ class TestDeficitClosure:
         err_r, err_c = np.zeros(m * m), np.zeros(m * m)
         err_r[sup_r], err_c[sup_c] = mass * r, mass * c
         s = err_r.sum()
-        [(cost, (idx_r, idx_c, plan))] = _close_deficits(err_r.reshape(1, m, m),
-                                                         err_c.reshape(1, m, m), m)
+        [(cost, (idx_r, idx_c, plan), _)] = _close_deficits(err_r.reshape(1, m, m),
+                                                            err_c.reshape(1, m, m), m)
         # cells under a billionth of the deficit are pruned; the kept ones
         # carry the whole deficit mass
         a = err_r[idx_r] / err_r[idx_r].sum()
