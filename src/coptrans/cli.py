@@ -227,6 +227,13 @@ def cmd_power(args, table, out):
     return {"rejection_level": 0.05, "null_protocol": "permutation"}
 
 
+def _seed(text: str) -> int:
+    """The --seed type: numpy's generators take only a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _command(sub, name, func, help, table=True):
     """Add subcommand `name` with `--out`, `--input` if it reads a table, and `func`."""
     p = sub.add_parser(name, help=help)
@@ -256,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "k-means over pair copulas with barycenter centroids")
     _add_transport_flags(p)
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--max-rounds", type=int, default=100)
 
     p = _command(sub, "tfdc", cmd_tfdc,
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["discontinuity", "noisy_parabola", "power_pattern",
                             "gaussian_pair"])
     p.add_argument("--T", type=int, default=5000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--a", type=float, default=0.5)
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--pattern", default="linear", choices=list(POWER_PATTERNS))
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(sorted(COEFFICIENTS)) + ",tfdc")
     p.add_argument("--n-sims", type=int, default=100)
     p.add_argument("--sample-size", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     _add_m_flag(p)
     p.add_argument("--t-ref", type=int, default=100_000)
     p.add_argument("--debias", action="store_true")

@@ -78,8 +78,8 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
     distance that cannot be its group's minimum gets no rounding-deficit
     closure, and each minimum keeps the bits of a fully closed batch.
     With spec.debias each distance is d(x, c) - (d(x, x) + d(c, c)) / 2,
-    clipped at 0. Those minima are over shifted values, so every problem
-    is its own group and every deficit is closed. Each copula's
+    clipped at 0. Those minima are over shifted values, so every deficit
+    is closed: the batch is one `sinkhorn_values_batch` call. Each copula's
     self-distance is solved once per call and each reference's once per
     spec (see TFDCSpec); values are pure functions of their pair, so where
     they were solved changes no bit.
@@ -111,12 +111,12 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
         where += [(i, None) for i in todo]
     rs = [copulas[i] if r is None else refs[r] for i, r in where]
     cs = [refs[r] if i is None else copulas[i] for i, r in where]
-    if spec.debias:
-        groups = np.arange(len(where))
-    else:  # (copula, forget side) and (copula, target side)
-        groups = [2 * i + (r >= len(spec.forgets)) for i, r in where]
     try:
-        vals = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
+        if spec.debias:  # every problem is its own group: nothing is screened out
+            vals = sinkhorn_values_batch(rs, cs, spec.cost, spec.cfg)
+        else:  # groups (copula, forget side) and (copula, target side)
+            groups = [2 * i + (r >= len(spec.forgets)) for i, r in where]
+            vals = sinkhorn_values_screened(rs, cs, spec.cost, spec.cfg, groups=groups)
     except ConvergenceFailure as exc:
         exc.pair = tuple(where[b] for b in exc.pair)
         raise

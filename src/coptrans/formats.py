@@ -42,11 +42,13 @@ def _atomic_write_text(path, text: str):
 
 
 def _read_text(path: Path) -> str:
-    """The text of a UTF-8 file; a missing or undecodable file raises ParseError."""
+    """The text of a UTF-8 file, without the byte-order mark that spreadsheet
+    programs put first; a missing or undecodable file raises ParseError."""
     if not path.exists():
         raise ParseError(f"no such file: {path}", path=str(path))
     try:
-        return path.read_bytes().decode("utf-8")
+        # "utf-8-sig" would count a later error's byte offset from after the mark
+        return path.read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})", path=str(path)) from None
 

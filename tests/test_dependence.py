@@ -162,14 +162,14 @@ class TestTfdc:
         spec = standard_spec(m=8, debias=True)
         refs = [*spec.forgets, *spec.targets]
         copulas = [random_sample_copula(rng, 8, T=40) for _ in range(5)]
-        solve = dependence.sinkhorn_values_screened
+        solve = dependence.sinkhorn_values_batch
         problems = []
 
-        def counting(rs, cs, cost, cfg, *, groups):
+        def counting(rs, cs, cost, cfg):
             problems.append(len(rs))
-            return solve(rs, cs, cost, cfg, groups=groups)
+            return solve(rs, cs, cost, cfg)
 
-        monkeypatch.setattr(dependence, "sinkhorn_values_screened", counting)
+        monkeypatch.setattr(dependence, "sinkhorn_values_batch", counting)
         first = tfdc(copulas, spec)
         kept = spec.ref_self
         second = tfdc(copulas[:2], spec)

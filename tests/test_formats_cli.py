@@ -57,6 +57,16 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with one
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+        assert load_csv(f).names == ("a", "b")
+        # a later decode error still names its byte in the file, the mark counted
+        f.write_bytes(b"\xef\xbb\xbfa,b\n\xff,2\n")
+        with pytest.raises(ParseError, match=r"not UTF-8 text \(byte 7\)"):
+            load_csv(f)
+
 
 class TestCopFormat:
     def test_round_trip_exact(self, tmp_path, rng):
@@ -65,6 +75,12 @@ class TestCopFormat:
         write_cop(h, path)
         back = read_cop(path)
         assert np.abs(back.mass - h.mass).max() < 1e-12
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, rng):
+        plain, marked = tmp_path / "h.cop", tmp_path / "bom.cop"
+        write_cop(random_histogram(rng, 4), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_cop(marked).mass.tobytes() == read_cop(plain).mass.tobytes()
 
     def test_rejects_negative(self, tmp_path):
         write_lines(tmp_path / "bad.cop", ["2", "0.5 0.6", "-0.1 0.0"])
@@ -213,14 +229,16 @@ class TestCli:
         write_cop(reference_copula("frechet_lower", 8), refs / "dn.cop")
         write_cop(reference_copula("gaussian", 8, rho=0.5), refs / "g.cop")
         write_cop(reference_copula("independence", 8), refs / "pi.cop")
-        solve = dependence.sinkhorn_values_screened
+        # a debiased batch screens nothing out, so it is one sinkhorn_values_batch call
+        name = "sinkhorn_values_batch" if debias else "sinkhorn_values_screened"
+        solve = getattr(dependence, name)
         problems = []
 
-        def recording(rs, cs, cost, cfg, *, groups):
+        def recording(rs, cs, cost, cfg, **groups):
             problems.append(len(rs))
-            return solve(rs, cs, cost, cfg, groups=groups)
+            return solve(rs, cs, cost, cfg, **groups)
 
-        monkeypatch.setattr(dependence, "sinkhorn_values_screened", recording)
+        monkeypatch.setattr(dependence, name, recording)
         assert main(["tfdc", "--input", str(dataset), "--m", "8",
                      "--targets", str(refs / "dn.cop"), str(refs / "g.cop"),
                      "--forgets", str(refs / "pi.cop"), "--out", str(tmp_path / "t")]
@@ -356,6 +374,18 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert calls == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [a for a in CLI_RUNS if "--seed" in a],
+                             ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2_before_out_is_made(self, dataset, tmp_path, argv, capsys):
+        # numpy's generators take only non-negative seeds
+        argv = fill_cli_run(argv, dataset, tmp_path)
+        argv[argv.index("--seed") + 1] = "-1"
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         out = tmp_path / "pw"

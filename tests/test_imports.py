@@ -14,8 +14,6 @@ SOURCES = sorted((ROOT / "src" / "coptrans").glob("*.py")) + sorted((ROOT / "tes
 UNUSED_ALLOWED = {
     ("src/coptrans/cli.py", "centroid_report"):
         "perfbench/tracer.py patches coptrans.cli.centroid_report",
-    ("src/coptrans/dependence.py", "sinkhorn_values_batch"):
-        "perfbench/tracer.py patches coptrans.dependence.sinkhorn_values_batch",
 }
 
 

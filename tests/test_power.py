@@ -158,14 +158,14 @@ class TestTfdcPowerTargets:
         # which the spec keeps, and the copula's own), later ones K + 1
         spec = tfdc_power_targets(m=12, T_ref=4000, seed=0, debias=True)
         k = len(spec.forgets) + len(spec.targets)
-        solve = dependence.sinkhorn_values_screened
+        solve = dependence.sinkhorn_values_batch
         problems = []
 
-        def counting(rs, cs, cost, cfg, *, groups):
+        def counting(rs, cs, cost, cfg):
             problems.append(len(rs))
-            return solve(rs, cs, cost, cfg, groups=groups)
+            return solve(rs, cs, cost, cfg)
 
-        monkeypatch.setattr(dependence, "sinkhorn_values_screened", counting)
+        monkeypatch.setattr(dependence, "sinkhorn_values_batch", counting)
         coeff = make_tfdc_coefficient(spec)
         rng = np.random.default_rng(8)
         samples = [(x, x**2 + rng.standard_normal(200)) for x in rng.uniform(size=(3, 200))]

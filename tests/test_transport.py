@@ -501,6 +501,32 @@ class TestBatchedValues:
                                             np.zeros_like(C[:1]))
             assert as_bytes([a[b:b + 1] for a in both]) == as_bytes(alone)
 
+    def test_scaling_loop_exits_match_lone_solves(self, rng):
+        # one batch through every exit: a zero budget, an off-schedule cap,
+        # a convergence and three stalls, each frozen at its own iteration
+        m = 6
+        R = np.stack([random_histogram(rng, m).mass for _ in range(6)])
+        C = np.stack([random_sample_copula(rng, m, T=30).mass for _ in range(6)])
+        lr, lc = transport._safe_log(R), transport._safe_log(C)
+        k = _kernel(-default_lambda(m) * GroundCost(m).axis_cost)
+        budget = np.array([0, 37, 3000, 3000, 3000, 3000])
+
+        def solve(rows):
+            return transport._scaling_loop(k, lr[rows], lc[rows], R[rows], C[rows], 1e-13,
+                                           budget[rows], np.zeros_like(R[rows]),
+                                           np.zeros_like(C[rows]))
+
+        *_, residuals, iters, stalled = solve(np.arange(6))
+        assert list(iters) == [0, 37, 120, 1250, 130, 210]
+        assert list(stalled) == [False, False, True, False, True, True]
+        assert residuals[3] < 1e-13 < residuals[[1, 2, 4, 5]].min()
+        alone = [as_bytes(solve([b])) for b in range(6)]
+        # reversed, each freeze drops a different position of the open rows
+        for order in (np.arange(6), np.arange(6)[::-1]):
+            batch = solve(order)
+            for j, b in enumerate(order):
+                assert as_bytes([a[j:j + 1] for a in batch]) == alone[b]
+
     def test_scaling_loop_runs_nothing_for_a_problem_without_budget(self, rng):
         # a zero cap keeps the problem as it came, whatever its batch mate runs
         m = 6
