@@ -67,8 +67,10 @@ def power_target_copulas(m: int = 20, T_ref: int = 100_000,
 
     Each target is the empirical copula of T_ref clean samples of one pattern;
     the reference sample is large enough that two independent draws agree to
-    within a couple of percent in total variation.
+    within a couple of percent in total variation. T_ref must be at least m.
     """
+    if T_ref < m:
+        raise InvalidParameter(f"T_ref must be >= m, got T_ref={T_ref} and m={m}")
     targets: dict[str, CopulaHistogram] = {}
     for i, pattern in enumerate(POWER_PATTERNS):
         if m < 2 * pattern_extrema(pattern):

@@ -162,6 +162,7 @@ class TransportPlan:
 _UNDERFLOW = 1e-250  # shifted products below this are recomputed exactly
 _TINY = np.finfo(float).tiny  # smallest normal float64; kernel entries below it are flushed
 _EXP_FLOOR = -700.0  # fallback exponents are clamped here, where exp is still normal
+_NEG_MAX = -np.finfo(float).max  # the shift of an all -inf row
 
 
 class _Kernel(NamedTuple):
@@ -185,31 +186,35 @@ def _lse_contract(k: _Kernel, lw: np.ndarray) -> np.ndarray:
     """out[..., i, q] = LSE_j (lw[..., i, j] + k.lk[j, q]) for a symmetric k.lk <= 0."""
     m = lw.shape[-1]
     # numpy reduces along short rows slowly, so both maxima here reduce a
-    # transposed copy; a max has the same bits in any order
+    # transposed copy; a max has the same bits in any order. An all -inf row
+    # is shifted by -DBL_MAX, not by its max: exp(-inf + DBL_MAX) is exactly
+    # 0 and log(0) - DBL_MAX is -inf, so the main path needs no mask. This
+    # is not a clamp of the weights: every other row keeps its own max, and
+    # a zero weight stays an exact zero.
     s = np.ascontiguousarray(lw.reshape(-1, m).T).max(axis=0).reshape(*lw.shape[:-1], 1)
-    finite = np.isfinite(s)
-    s = np.where(finite, s, 0.0)
+    np.fmax(s, _NEG_MAX, out=s)
     prod = np.exp(lw - s) @ k.ek
     low = prod < _UNDERFLOW
     out = np.log(prod, out=prod)
     out += s
-    if not low.any():
-        return out
-    # an all -inf row already gives -inf and needs no recomputation
-    redo = np.flatnonzero(low & finite)
-    a = lw.reshape(-1, m)[redo // m]
-    a += k.lk[redo % m]
-    terms = np.ascontiguousarray(a.T)
-    amax = terms.max(axis=0)
-    terms -= amax
-    # Every sum holds exp(0) = 1, so clamped terms (below 1e-304) are lost
-    # to rounding as the exact ones would be. fmax maps the NaN of an all
-    # -inf row (-inf - -inf) to the floor, and amax keeps that row -inf.
-    np.fmax(terms, _EXP_FLOOR, out=terms)
-    np.exp(terms, out=terms)
-    # the sum must run along contiguous rows: numpy sums those pairwise, and
-    # the bits depend on that order
-    out.reshape(-1)[redo] = np.log(np.ascontiguousarray(terms.T).sum(axis=-1)) + amax
+    if low.any():
+        # an all -inf row (shifted by -DBL_MAX) is already -inf; redoing it only costs time
+        r, q = np.nonzero(low.reshape(-1, m) & (s.reshape(-1, 1) > _NEG_MAX))
+        a = lw.reshape(-1, m)[r]
+        a += k.lk[q]
+        terms = np.ascontiguousarray(a.T)
+        amax = terms.max(axis=0)
+        terms -= amax
+        # Every sum holds exp(0) = 1, so clamped terms (below 1e-304) are lost
+        # to rounding as the exact ones would be. A gathered row is all -inf
+        # where a cost-weighted kernel's -inf diagonal meets a lone finite
+        # weight: fmax maps its NaN (-inf - -inf) to the floor, and amax
+        # keeps that entry -inf.
+        np.fmax(terms, _EXP_FLOOR, out=terms)
+        np.exp(terms, out=terms)
+        # the sum must run along contiguous rows: numpy sums those pairwise, and
+        # the bits depend on that order
+        out.reshape(-1, m)[r, q] = np.log(np.ascontiguousarray(terms.T).sum(axis=-1)) + amax
     return out
 
 
@@ -245,8 +250,12 @@ def _log_kernel_apply(k: _Kernel, lw: np.ndarray,
     equal to 1. The main path is not clamped: that would turn exact zero
     weights into about 1e-304, whose products with the kernel are subnormal
     again.
+
+    A row holding NaN gives NaN throughout its slice, as the exact LSE does.
+    Its max is NaN, so it takes the -DBL_MAX shift of an empty row and its
+    finite entries overflow in exp; hence "over" is silenced with the rest.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inner = _lse_contract(k, np.ascontiguousarray(lw))  # (..., p', q)
         outer = _lse_contract(k if k_first is None else k_first,
                               np.ascontiguousarray(np.swapaxes(inner, -1, -2)))  # (..., q, p)
@@ -289,15 +298,18 @@ def _round_to_polytope(k, lr, lc, R, C, lu, lv):
     (left as it is at noise level, else rank-one or by LP), and the closed
     plan has exact marginals, so its cost is a true upper bound on the
     transport optimum regardless of where the iterations stopped.
+
+    A scale factor lr - log(row) is NaN (-inf - -inf) only at a cell
+    outside the support, where the target and the row sum are both zero;
+    the scaling loop has already set that cell's potential to -inf. fmin
+    takes 0 over the NaN, so the potential stays -inf there.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         row = np.exp(lu + _log_kernel_apply(k, lv))
-        lu = lu + np.minimum(lr - _safe_log(row), 0.0)
-        lu = np.where(np.isnan(lu), -np.inf, lu)
+        lu = lu + np.fmin(lr - _safe_log(row), 0.0)
         klu = _log_kernel_apply(k, lu)
         col = np.exp(lv + klu)
-        lv = lv + np.minimum(lc - _safe_log(col), 0.0)
-        lv = np.where(np.isnan(lv), -np.inf, lv)
+        lv = lv + np.fmin(lc - _safe_log(col), 0.0)
     err_r = np.clip(R - np.exp(lu + _log_kernel_apply(k, lv)), 0.0, None)
     err_c = np.clip(C - np.exp(lv + klu), 0.0, None)
     return lu, lv, err_r, err_c

@@ -375,6 +375,15 @@ class TestCli:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_ref", ["-1", "0", "5"])
+    def test_power_t_ref_below_m_exits_2(self, tmp_path, t_ref, capsys):
+        out = tmp_path / "pw"
+        assert main(["power", "--patterns", "linear", "--noise-levels", "0",
+                     "--coefficients", "tfdc", "--n-sims", "10", "--sample-size", "60",
+                     "--seed", "1", "--m", "6", "--t-ref", t_ref, "--out", str(out)]) == 2
+        assert f"T_ref must be >= m, got T_ref={t_ref} and m=6" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [a for a in CLI_RUNS if "--seed" in a],
                              ids=lambda argv: argv[0])
     def test_negative_seed_exits_2_before_out_is_made(self, dataset, tmp_path, argv, capsys):

@@ -8,7 +8,8 @@ from pathlib import Path
 import coptrans
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "coptrans").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [path for d in ("src/coptrans", "tests", "tools")
+           for path in sorted((ROOT / d).glob("*.py"))]
 
 # (file relative to the repo root, imported name): why it stays without a use
 UNUSED_ALLOWED = {

@@ -260,6 +260,23 @@ class TestGroundCost:
                 deep |= bool(np.any(np.isfinite(expected) & (expected < np.log(1e-250))))
         assert deep  # the exact fallback ran
 
+        # NaN input: a row holding NaN reaches every output of its slice
+        # through the second contraction, and its batch mates keep their bits
+        m = 12
+        lk = -default_lambda(m) * GroundCost(m).axis_cost
+        with np.errstate(divide="ignore"):
+            lkc = lk + np.log(GroundCost(m).axis_cost)
+        clean = weights(m)[[1, 5]]
+        lws = np.concatenate([weights(m)[:1], np.full((1, m, m), np.nan), clean])
+        lws[0, 4, 7] = np.nan                                  # a NaN row
+        for lk1, lk2 in ((lk, None), (lkc, lk), (lk, lkc)):
+            expected = reference_log_kernel_apply(lk1, lws, lk2)
+            k1, k2 = _kernel(lk1), None if lk2 is None else _kernel(lk2)
+            got = _log_kernel_apply(k1, lws, k2)
+            assert np.isnan(expected[:2]).all() and np.isnan(got[:2]).all()
+            assert np.array_equal(got[2:], _log_kernel_apply(k1, clean, k2))
+            assert np.array_equal(got[2:], expected[2:])
+
 
 class TestSinkhornDistance:
     def test_identical_marginals(self, rng):
