@@ -63,13 +63,19 @@ def _sinkhorn_config(args) -> SinkhornConfig:
     return SinkhornConfig(lam=lam, max_iter=args.max_iter, tol=args.tol)
 
 
-def _pair_copulas(table, m):
-    """(labels, copulas) of every column pair i < j; a label is (i, j, name_i, name_j)."""
+def _pair_copulas(table, m, first=1):
+    """(labels, copulas) of every column pair (i, j) with j >= i + first, in
+    np.triu_indices order; a label is (i, j, name_i, name_j).
+
+    first=1 pairs distinct columns; first=0 also pairs each column with itself.
+    """
     labels = [
         (i, j, table.names[i], table.names[j])
         for i in range(table.N)
-        for j in range(i + 1, table.N)
+        for j in range(i + first, table.N)
     ]
+    if not labels:
+        raise InvalidData(f"need at least 2 columns to pair, got {table.N}")
     return labels, [
         empirical_copula_from_data(table.column(i), table.column(j), m)
         for i, j, _, _ in labels
@@ -93,11 +99,6 @@ def _naming_failures(labels, copulas_of):
             more = ", ..." if len(failing) > 5 else ""
             print(f"failing pairs ({len(failing)}): {', '.join(names)}{more}", file=sys.stderr)
         raise
-
-
-def _manifest_params(args):
-    return {key: str(value) if isinstance(value, Path) else value
-            for key, value in sorted(vars(args).items()) if key != "func"}
 
 
 def cmd_copula(args, table, out):
@@ -157,11 +158,9 @@ def cmd_tfdc(args, table, out):
         cfg=_sinkhorn_config(args),
         debias=args.debias,
     )
+    labels, copulas = _pair_copulas(table, args.m, first=0)
     n = table.N
     iu, ju = np.triu_indices(n)
-    copulas = [empirical_copula_from_data(table.column(i), table.column(j), args.m)
-               for i, j in zip(iu, ju)]
-    labels = [(i, j, table.names[i], table.names[j]) for i, j in zip(iu, ju)]
     matrix = np.zeros((n, n))
     # `.pair` holds (copula, reference) pairs
     with _naming_failures(labels, lambda p: p[:1]):
@@ -207,15 +206,15 @@ def cmd_power(args, table, out):
     for name in coefficients:
         if name != "tfdc":
             registry_coefficient(name)
-    spec = None
+    tfdc_coefficient = None
     if "tfdc" in coefficients:
-        spec = tfdc_power_targets(m=args.m, T_ref=args.t_ref, seed=args.seed,
-                                  debias=args.debias)
+        tfdc_coefficient = make_tfdc_coefficient(tfdc_power_targets(
+            m=args.m, T_ref=args.t_ref, seed=args.seed, debias=args.debias))
     rows = []
     for pattern in patterns:
         for noise in noise_levels:
             for name in coefficients:
-                coeff = make_tfdc_coefficient(spec) if name == "tfdc" else name
+                coeff = tfdc_coefficient if name == "tfdc" else name
                 res = estimate_power(pattern, noise, coeff,
                                      n_sims=args.n_sims, sample_size=args.sample_size,
                                      seed=args.seed)
@@ -338,7 +337,8 @@ def _run(args) -> int:
         table = load_csv(args.input) if hasattr(args, "input") else None
         args.out.mkdir(parents=True, exist_ok=True)
         extra = args.func(args, table, args.out)
-        write_run_manifest(args.out, args.command, _manifest_params(args), extra=extra)
+        params = {key: value for key, value in vars(args).items() if key != "func"}
+        write_run_manifest(args.out, args.command, params, extra=extra)
     except ConvergenceFailure as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .copula import CopulaHistogram, rank_transform
+from .copula import CopulaHistogram, _as_finite_vector, rank_transform
 from .errors import AmbiguousSpec, ConvergenceFailure, DegenerateColumn, InvalidData
 from .transport import (
     GroundCost,
@@ -138,14 +138,9 @@ def tfdc(copulas, spec: TFDCSpec) -> np.ndarray:
 
 
 def _finite_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise InvalidData(f"expected equal-length vectors, got {x.shape} and {y.shape}")
-    if x.size < 2:
-        raise InvalidData("need at least 2 observations")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidData("inputs contain non-finite values")
+    x, y = _as_finite_vector(x, "x"), _as_finite_vector(y, "y")
+    if x.size != y.size:
+        raise InvalidData(f"expected equal-length vectors, got {x.size} and {y.size}")
     return x, y
 
 

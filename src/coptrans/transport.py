@@ -132,8 +132,8 @@ class SinkhornConfig:
             raise InvalidParameter(f"lam must be positive and finite, got {self.lam}")
         if not self.tol > 0:
             raise InvalidParameter(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidParameter(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidParameter(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,7 @@ def _plan_value_log(axis_cost: np.ndarray, k: _Kernel,
     iterations let the potentials drift far apart in that gauge; giving both
     the same maximum keeps the exponents, and so their rounding, small.
     """
-    with np.errstate(divide="ignore"):
-        kc = _kernel(k.lk + np.log(axis_cost))  # -inf on the zero-cost diagonal
+    kc = _kernel(k.lk + _safe_log(axis_cost))  # -inf on the zero-cost diagonal
     shift = 0.5 * (np.max(lu, axis=(-2, -1), keepdims=True)
                    - np.max(lv, axis=(-2, -1), keepdims=True))
     lu, lv = lu - shift, lv + shift
@@ -724,7 +723,9 @@ def sinkhorn_values_screened(rs, cs, cost: GroundCost, cfg: SinkhornConfig, *,
     groups = np.asarray(groups)
     if groups.shape != (len(rs),):
         raise InvalidData(f"need one group id per problem, got {groups.shape} for {len(rs)}")
-    if len(rs) != len(cs) or not rs:
+    if not rs:
+        raise InvalidData("need at least one histogram")
+    if len(rs) != len(cs):
         raise InvalidData("need equally many source and destination histograms")
     for r, c in zip(rs, cs):
         _check_pair(r, c, cost)
@@ -790,8 +791,6 @@ def pairwise_distance_matrix(hists, cost: GroundCost, cfg: SinkhornConfig) -> np
     """
     hists = list(hists)
     n = len(hists)
-    if n == 0:
-        raise InvalidData("need at least one histogram")
     iu, ju = np.triu_indices(n)
     try:
         values = sinkhorn_values_batch([hists[i] for i in iu], [hists[j] for j in ju], cost, cfg)

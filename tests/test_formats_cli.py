@@ -142,17 +142,27 @@ def dataset(tmp_path):
     return f
 
 
-# One small run of each subcommand; DATA, UP and PI stand for input files.
-CLI_RUNS = [
-    ["copula", "--input", "DATA", "--m", "6"],
-    ["dist", "--input", "DATA", "--m", "6"],
-    ["cluster", "--input", "DATA", "--m", "6", "--k", "2", "--seed", "5"],
-    ["tfdc", "--input", "DATA", "--m", "6", "--targets", "UP", "--forgets", "PI", "--debias"],
-    ["query", "--input", "DATA", "--m", "6", "--target", "UP"],
-    ["synth", "--kind", "gaussian_pair", "--T", "50", "--seed", "1"],
-    ["power", "--patterns", "linear", "--noise-levels", "0", "--coefficients", "pearson",
-     "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
-]
+# Small runs of each subcommand, by test id; DATA, UP and PI stand for input files.
+CLI_RUNS = {
+    "copula": ["copula", "--input", "DATA", "--m", "6"],
+    "dist": ["dist", "--input", "DATA", "--m", "6"],
+    "cluster": ["cluster", "--input", "DATA", "--m", "6", "--k", "2", "--seed", "5"],
+    "tfdc": ["tfdc", "--input", "DATA", "--m", "6", "--targets", "UP", "--forgets", "PI",
+             "--debias"],
+    "query": ["query", "--input", "DATA", "--m", "6", "--target", "UP"],
+    "synth": ["synth", "--kind", "gaussian_pair", "--T", "50", "--seed", "1"],
+    "power": ["power", "--patterns", "linear", "--noise-levels", "0", "--coefficients",
+              "pearson", "--n-sims", "20", "--sample-size", "60", "--seed", "3"],
+    "power-tfdc-debias": ["power", "--patterns", "linear", "--noise-levels", "0",
+                          "--coefficients", "tfdc", "--n-sims", "10", "--sample-size", "60",
+                          "--seed", "3", "--m", "6", "--t-ref", "2000", "--debias"],
+}
+
+
+def cli_runs(flag=None):
+    """The CLI_RUNS entries that pass `flag` (all without one), as pytest params."""
+    return [pytest.param(argv, id=name) for name, argv in CLI_RUNS.items()
+            if flag is None or flag in argv]
 
 
 def fill_cli_run(argv, data, tmp_path):
@@ -384,8 +394,7 @@ class TestCli:
         assert f"T_ref must be >= m, got T_ref={t_ref} and m=6" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [a for a in CLI_RUNS if "--seed" in a],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", cli_runs("--seed"))
     def test_negative_seed_exits_2_before_out_is_made(self, dataset, tmp_path, argv, capsys):
         # numpy's generators take only non-negative seeds
         argv = fill_cli_run(argv, dataset, tmp_path)
@@ -436,7 +445,7 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv", CLI_RUNS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", cli_runs())
     def test_manifest_records_command_and_every_option(self, dataset, tmp_path, argv):
         argv = fill_cli_run(argv, dataset, tmp_path)
         assert main(argv) == 0
@@ -446,12 +455,27 @@ class TestCli:
         assert meta["command"] == argv[0]
         assert meta["parameters"] == json.loads(json.dumps(parsed, default=str))
 
-    @pytest.mark.parametrize("argv", [a for a in CLI_RUNS if "--input" in a],
-                             ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", cli_runs("--input"))
     def test_missing_input_exits_2_and_creates_no_out_dir(self, tmp_path, argv, capsys):
         assert main(fill_cli_run(argv, tmp_path / "missing.csv", tmp_path)) == 2
         assert "missing.csv" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", cli_runs("--input"))
+    def test_one_column_table_exits_2_naming_the_column_count(self, tmp_path, argv, capsys):
+        # copula used to write an empty pairs.csv and exit 0, and dist,
+        # cluster and query to exit 2 with messages that missed the cause;
+        # tfdc scores the column against itself
+        f = tmp_path / "one.csv"
+        write_lines(f, ["x"] + [str(v) for v in np.random.default_rng(0).uniform(size=50)])
+        code = main(fill_cli_run(argv, f, tmp_path))
+        if argv[0] == "tfdc":
+            assert code == 0
+            assert len((tmp_path / "o" / "tfdc-matrix.csv").read_text().splitlines()) == 2
+        else:
+            assert code == 2
+            assert "need at least 2 columns to pair, got 1" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_query_target_of_another_resolution_exits_2(self, dataset, tmp_path, capsys):
         write_cop(reference_copula("frechet_upper", 6), tmp_path / "up.cop")
@@ -562,7 +586,7 @@ class TestCli:
                      "--max-iter", "150", "--tol", "1e-9", "--out", str(tmp_path / "d")])
         assert code == 3
         err = capsys.readouterr().err
-        assert "failing pairs (15): " in err
+        assert "failing pairs (15): a|b, a|c, a|d, a|e, a|f, ...\n" in err
         assert err.count("sinkhorn residual") == 1
 
     def test_query_failure_names_only_the_failing_pairs(self, dataset, tmp_path, capsys):

@@ -389,6 +389,11 @@ class TestSinkhornDistance:
         for lam in (np.inf, np.nan, 0.0, -1.0):
             with pytest.raises(InvalidParameter):
                 SinkhornConfig(lam=lam)
+        # a float max_iter used to pass here and fail in the scaling loop
+        for max_iter in (1.5, 3.0, 0):
+            with pytest.raises(InvalidParameter, match="max_iter must be an integer >= 1"):
+                SinkhornConfig(lam=10.0, max_iter=max_iter)
+        assert SinkhornConfig(lam=10.0, max_iter=np.int64(3)).max_iter == 3
 
 
 class TestBatchedValues:
